@@ -258,7 +258,7 @@ class NVarPoly:
 class BivarPoly:
     """Sparse polynomial in the surface variables (x, y)."""
 
-    __slots__ = ("terms", "_grid_cache")
+    __slots__ = ("terms", "_dense_cache")
 
     def __init__(self, terms: Mapping | None = None):
         clean: dict = {}
@@ -271,13 +271,13 @@ class BivarPoly:
                 if not (c == 0):
                     _add_into(clean, (i, j), _coerce_scalar(c))
         self.terms = clean
-        self._grid_cache = None
+        self._dense_cache = None
 
     @classmethod
     def _raw(cls, terms: dict) -> "BivarPoly":
         p = object.__new__(cls)
         p.terms = terms
-        p._grid_cache = None
+        p._dense_cache = None
         return p
 
     @classmethod
@@ -405,40 +405,44 @@ class BivarPoly:
             total = total + c * x**i * y**j
         return total
 
-    def _grid_arrays(self):
-        cache = self._grid_cache
-        if cache is None:
-            if self.terms:
-                ii = np.array([k[0] for k in self.terms], dtype=np.int64)
-                jj = np.array([k[1] for k in self.terms], dtype=np.int64)
-                cc = np.array([float(c) for c in self.terms.values()], dtype=np.float64)
-            else:
-                ii = np.zeros(0, dtype=np.int64)
-                jj = np.zeros(0, dtype=np.int64)
-                cc = np.zeros(0, dtype=np.float64)
-            cache = (ii, jj, cc)
-            self._grid_cache = cache
-        return cache
+    def _dense_coeffs(self) -> np.ndarray:
+        """Float coefficients as a dense matrix C[i, j] of x^i y^j, cached."""
+        c = self._dense_cache
+        if c is None:
+            nx = max((i for i, _ in self.terms), default=0) + 1
+            ny = max((j for _, j in self.terms), default=0) + 1
+            c = np.zeros((nx, ny), dtype=np.float64)
+            for (i, j), v in self.terms.items():
+                c[i, j] = float(v)
+            self._dense_cache = c
+        return c
 
     def eval_grid(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-        """Vectorized float evaluation on numpy arrays of any shape."""
+        """Vectorized float evaluation on numpy arrays of broadcastable shapes.
+
+        Evaluates through the dense coefficient matrix C (built on first
+        use): the powers of y fill an (n_y, N) array by repeated
+        multiplication, one matrix product turns them into the N values of
+        the x-polynomial coefficients sum_j C[i, j] y^j, and Horner's rule
+        in x finishes.  The result has the broadcast shape of X and Y.
+        """
         X = np.asarray(X, dtype=np.float64)
         Y = np.asarray(Y, dtype=np.float64)
-        ii, jj, cc = self._grid_arrays()
-        out = np.zeros(np.broadcast(X, Y).shape, dtype=np.float64)
-        if cc.size == 0:
-            return out
-        imax = int(ii.max())
-        jmax = int(jj.max())
-        xp = [np.ones_like(out)]
-        for _ in range(imax):
-            xp.append(xp[-1] * X)
-        yp = [np.ones_like(out)]
-        for _ in range(jmax):
-            yp.append(yp[-1] * Y)
-        for i, j, c in zip(ii, jj, cc):
-            out += c * xp[i] * yp[j]
-        return out
+        if X.shape != Y.shape:
+            X, Y = np.broadcast_arrays(X, Y)
+        x = X.ravel()
+        y = Y.ravel()
+        c = self._dense_coeffs()
+        ypow = np.empty((c.shape[1], x.size))
+        ypow[0] = 1.0
+        for j in range(1, c.shape[1]):
+            np.multiply(ypow[j - 1], y, out=ypow[j])
+        t = c @ ypow
+        out = t[-1].copy()
+        for row in t[-2::-1]:
+            out *= x
+            out += row
+        return out.reshape(X.shape)
 
     # -- geometry ----------------------------------------------------------
 
@@ -689,13 +693,22 @@ class ParamPoly:
         return ParamPoly._raw(self.nparams, out)
 
     def substitute_params(self, tau: Iterable) -> BivarPoly:
-        """Evaluate every coefficient at the parameter point ``tau``."""
+        """Evaluate every coefficient at the parameter point ``tau``.
+
+        Exact (int / Fraction) parameter values give exact coefficients.
+        When any entry of ``tau`` is inexact, every coefficient comes out a
+        float, parameter-free ones included, so arithmetic on the result
+        never mixes Fraction and float.
+        """
         vals = list(tau)
         if len(vals) != self.nparams:
             raise InputError(f"expected {self.nparams} parameter values, got {len(vals)}")
+        inexact = any(not isinstance(v, (int, Fraction)) for v in vals)
         out: dict = {}
         for k, c in self.terms.items():
             v = c.eval(vals)
+            if inexact:
+                v = float(v)
             if not (v == 0):
                 out[k] = v
         return BivarPoly._raw(out)

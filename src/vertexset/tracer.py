@@ -85,6 +85,10 @@ class TracedCurve:
     closed: bool
     boundary_hits: tuple
 
+    def polyline(self) -> np.ndarray:
+        """The points, with the first repeated at the end if the curve is closed."""
+        return np.vstack([self.points, self.points[:1]]) if self.closed else self.points
+
 
 @dataclass
 class TraceResult:
@@ -289,7 +293,7 @@ def trace_zero_set(field: PolyField, radius: float, resolution: int = 512, *,
               if len(c.points) >= 3 or len(c.boundary_hits) == 2]
     sing = (np.array(singular_pts) if singular_pts else np.zeros((0, 2)))
     if len(sing) > 1:
-        sing = _dedupe_points(sing, 2 * h)
+        sing = dedupe_points(sing, 2 * h)
     return TraceResult(curves=curves, singular_points=sing, radius=radius,
                        resolution=n)
 
@@ -432,12 +436,13 @@ def _finish_curve(field: PolyField, pts: np.ndarray, res: np.ndarray,
                        closed=closed, boundary_hits=hits)
 
 
-def _dedupe_points(pts: np.ndarray, eps: float) -> np.ndarray:
+def dedupe_points(pts, eps: float) -> np.ndarray:
+    """Points farther than ``eps`` from every earlier kept point, in order."""
     kept: list[np.ndarray] = []
     for p in pts:
         if all(np.linalg.norm(p - q) > eps for q in kept):
             kept.append(p)
-    return np.array(kept)
+    return np.array(kept, dtype=float).reshape(-1, 2)
 
 
 # -- origin branches ---------------------------------------------------------
@@ -680,8 +685,85 @@ def classify_pairing(bs: BranchSet, anchor_angles) -> PairingLabel:
 # -- curve intersections ------------------------------------------------------
 
 
-def _segment_intersections(A: np.ndarray, B: np.ndarray) -> list:
-    out = []
+def joint_newton(field_a: PolyField, field_b: PolyField, pts: np.ndarray, *,
+                 tol: float, max_iter: int) -> np.ndarray:
+    """Newton on the joint system (F_a, F_b) = 0 from many seeds at once.
+
+    Every seed iterates on its own: it stops without stepping where the
+    Jacobian determinant falls below 1e-300, and after the first step
+    shorter than ``tol``.
+    """
+    p = np.array(pts, dtype=float).reshape(-1, 2)
+    active = np.ones(len(p), dtype=bool)
+    for _ in range(max_iter):
+        idx = np.flatnonzero(active)
+        if not len(idx):
+            break
+        q = p[idx]
+        fa = field_a.values(q)
+        fb = field_b.values(q)
+        ga = field_a.grads(q)
+        gb = field_b.grads(q)
+        det = ga[:, 0] * gb[:, 1] - ga[:, 1] * gb[:, 0]
+        ok = np.abs(det) >= 1e-300
+        det = np.where(ok, det, 1.0)
+        delta = np.column_stack([(ga[:, 1] * fb - gb[:, 1] * fa) / det,
+                                 (gb[:, 0] * fa - ga[:, 0] * fb) / det])
+        p[idx[ok]] = q[ok] + delta[ok]
+        small = np.hypot(delta[:, 0], delta[:, 1]) < tol
+        active[idx[~ok | small]] = False
+    return p
+
+
+def project_to_zero_set(field: PolyField, pts: np.ndarray, *,
+                        grad_floor: float = GRAD_FLOOR, iters: int = 8) -> np.ndarray:
+    """Newton-project an (n, 2) array of points onto F = 0 along grad F.
+
+    Each point stops on its own: without stepping once its gradient is
+    below the floor, and after the step that finds it within 1e-14 of the
+    zero set.
+    """
+    p = np.array(pts, dtype=float)
+    floor2 = grad_floor ** 2
+    active = np.ones(len(p), dtype=bool)
+    for _ in range(iters):
+        idx = np.flatnonzero(active)
+        if not len(idx):
+            break
+        q = p[idx]
+        fv = field.values(q)
+        g = field.grads(q)
+        g2 = np.einsum("ij,ij->i", g, g)
+        move = g2 >= floor2
+        p[idx[move]] = q[move] - (fv[move] / g2[move])[:, None] * g[move]
+        near = np.abs(fv) / np.sqrt(np.maximum(g2, floor2)) < 1e-14
+        active[idx[~move | near]] = False
+    return p
+
+
+def polish_crossings(field_a: PolyField, field_b: PolyField, pa: np.ndarray,
+                     pb: np.ndarray, *, tol: float, max_iter: int,
+                     grad_floor: float = GRAD_FLOOR) -> np.ndarray:
+    """Common zeros of (F_a, F_b) on the arcs of F_a = 0 from pa[i] to pb[i].
+
+    Thirty bisection steps on the sign of F_b along each arc, every
+    midpoint projected onto F_a = 0, isolate the root on that arc, so
+    distinct arcs give distinct roots even where the two zero sets are
+    nearly tangent; joint Newton on (F_a, F_b) then polishes all points.
+    """
+    vb = field_b.values(pa)
+    lo, hi = pa, pb
+    for _ in range(30):
+        mid = project_to_zero_set(field_a, 0.5 * (lo + hi), grad_floor=grad_floor)
+        left = (vb * field_b.values(mid) <= 0)[:, None]
+        lo, hi = np.where(left, lo, mid), np.where(left, mid, hi)
+    return joint_newton(field_a, field_b, 0.5 * (lo + hi), tol=tol,
+                        max_iter=max_iter)
+
+
+def _segment_intersections(A: np.ndarray, B: np.ndarray) -> tuple:
+    """Crossings of polylines A and B: A's segment indices and the points."""
+    segs, pts = [np.zeros(0, dtype=np.int64)], [np.zeros((0, 2))]
     a0, a1 = A[:-1], A[1:]
     b0, b1 = B[:-1], B[1:]
     da = a1 - a0
@@ -710,9 +792,9 @@ def _segment_intersections(A: np.ndarray, B: np.ndarray) -> list:
             t = (r[:, 0] * e2[:, 1] - r[:, 1] * e2[:, 0]) / det
             u = (r[:, 0] * d[:, 1] - r[:, 1] * d[:, 0]) / det
         ok &= (t >= 0) & (t <= 1) & (u >= 0) & (u <= 1)
-        for k in np.nonzero(ok)[0]:
-            out.append(a0[ii[k]] + t[k] * d[k])
-    return out
+        segs.append(ii[ok])
+        pts.append(a0[ii[ok]] + t[ok, None] * d[ok])
+    return np.concatenate(segs), np.vstack(pts)
 
 
 def intersect_curves(curves_a: list, curves_b: list, field_a: PolyField,
@@ -720,13 +802,16 @@ def intersect_curves(curves_a: list, curves_b: list, field_a: PolyField,
                      max_iter: int = 12) -> np.ndarray:
     """Intersection points of two traced curve families, Newton-polished.
 
-    Seeds come from exact polyline segment crossings; each seed is polished
-    on the joint system (F_a, F_b) with the exact Jacobian.
+    Seeds come from exact polyline segment crossings, the segment that
+    closes a closed curve included.  Where F_b changes sign along the
+    crossed segment of curve a, ``polish_crossings`` isolates the root on
+    that arc of curve a; elsewhere it starts from the crossing point.
     """
-    seeds = []
+    starts, ends, seeds = [], [], []
     for ca in curves_a:
         if len(ca.points) < 2:
             continue
+        pa = ca.polyline()
         alo = ca.points.min(axis=0)
         ahi = ca.points.max(axis=0)
         for cb in curves_b:
@@ -737,27 +822,19 @@ def intersect_curves(curves_a: list, curves_b: list, field_a: PolyField,
             if (alo[0] > bhi[0] or blo[0] > ahi[0]
                     or alo[1] > bhi[1] or blo[1] > ahi[1]):
                 continue
-            seeds.extend(_segment_intersections(ca.points, cb.points))
-    refined = []
-    for p in seeds:
-        q = np.array(p, dtype=float)
-        for _ in range(max_iter):
-            fa = field_a.value(q[0], q[1])
-            fb = field_b.value(q[0], q[1])
-            ga = field_a.grads(q[None, :])[0]
-            gb = field_b.grads(q[None, :])[0]
-            jac = np.array([ga, gb])
-            det = jac[0, 0] * jac[1, 1] - jac[0, 1] * jac[1, 0]
-            if abs(det) < 1e-300:
-                break
-            delta = np.linalg.solve(jac, -np.array([fa, fb]))
-            q = q + delta
-            if np.linalg.norm(delta) < tol:
-                break
-        refined.append(q)
-    if not refined:
+            seg, pts = _segment_intersections(pa, cb.polyline())
+            starts.append(pa[seg])
+            ends.append(pa[seg + 1])
+            seeds.append(pts)
+    if not seeds:
         return np.zeros((0, 2))
-    return _dedupe_points(np.array(refined), 10 * tol)
+    seeds = np.vstack(seeds)
+    lo, hi = np.vstack(starts), np.vstack(ends)
+    no_change = ((field_b.values(lo) >= 0) == (field_b.values(hi) >= 0))[:, None]
+    lo = np.where(no_change, seeds, lo)
+    hi = np.where(no_change, seeds, hi)
+    refined = polish_crossings(field_a, field_b, lo, hi, tol=tol, max_iter=max_iter)
+    return dedupe_points(refined, 10 * tol)
 
 
 # -- driver --------------------------------------------------------------------

@@ -1,9 +1,8 @@
-"""Small shared helpers: angle arithmetic and ordered parallel mapping."""
+"""Small shared helpers: angle arithmetic."""
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 
 TWO_PI = 2.0 * math.pi
 
@@ -16,23 +15,3 @@ def wrap_angle(a: float) -> float:
     elif a <= -math.pi:
         a += TWO_PI
     return a
-
-
-def angle_diff(a: float, b: float) -> float:
-    """Signed difference a - b wrapped to (-pi, pi]."""
-    return wrap_angle(a - b)
-
-
-def line_angle_diff(a: float, b: float) -> float:
-    """Distance between undirected line angles, in [0, pi/2]."""
-    d = math.fmod(abs(a - b), math.pi)
-    return min(d, math.pi - d)
-
-
-def ordered_map(fn, items, workers: int = 1) -> list:
-    """Map preserving input order, optionally on a thread pool."""
-    items = list(items)
-    if workers <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=workers) as ex:
-        return list(ex.map(fn, items))

@@ -4,20 +4,25 @@ A vertex of a level curve of f is a point where the arclength derivative
 of the curve's curvature vanishes, i.e. where the vertex function V of f
 meets the curve.  For a fixed surface this module locates vertices level
 by level: trace f = k, find sign changes of V along the traced curve,
-sharpen each with a two-variable Newton iteration on (f - k, V), and
-classify every vertex by curvature value, extremum type, and degeneracy.
-Degeneracy uses the exact tangential derivative chain of the curvature by
-default, with an independent finite-difference probe available for
-cross-checking.  A transition search finds the level k* at which the
-vertex count changes, polishing the merge point on the tangency system
-(V, dV/ds).
+sharpen all of them at once by bisection along the level and a joint
+Newton iteration on (f - k, V), and classify every vertex by curvature
+value, extremum type, and degeneracy.  Degeneracy uses the exact
+tangential derivative chain of the curvature by default, with an
+independent finite-difference probe available for cross-checking.  A
+transition search finds the level k* at which the vertex count changes,
+polishing the merge point on the tangency system (V, dV/ds).
+
+An analyzer builds f, V, G = |grad f|^2 and the curvature numerator P_0
+when it is created, which is all a count needs.  The order-4 derivative
+chain and the tangency polynomial W = dV/ds * |grad f| are built on first
+use, by classification and by the transition search.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -28,7 +33,8 @@ from .errors import (
     NumericError,
 )
 from .poly import BivarPoly
-from .tracer import GRAD_FLOOR, TRACE_TOL, PolyField, trace_zero_set
+from .tracer import (GRAD_FLOOR, TRACE_TOL, PolyField, dedupe_points,
+                     polish_crossings, project_to_zero_set, trace_zero_set)
 from .vertexfn import kappa_derivative_polys, vertex_poly
 
 DEG_TOL = 1e-4
@@ -82,7 +88,15 @@ class CriticalPoint:
 
 
 class LevelAnalyzer:
-    """Shared exact machinery for all level censuses of one surface."""
+    """Shared exact machinery for all level censuses of one surface.
+
+    Built up front: f, the vertex function V (``vpoly``, ``field_v``),
+    G = |grad f|^2 (``g_poly``) and the curvature numerator P_0.  Built on
+    first use and then kept: the order-4 tangential derivative chain
+    ``kappa_polys`` (needed to classify vertices) and the tangency
+    polynomial W (``wpoly``, ``field_w``; needed to polish k*).  A census
+    with ``classify=False`` builds neither.
+    """
 
     def __init__(self, f: BivarPoly, *, grad_floor: float = GRAD_FLOOR):
         if not isinstance(f, BivarPoly):
@@ -92,18 +106,28 @@ class LevelAnalyzer:
         self.field_f = PolyField(f)
         self.vpoly = vertex_poly(f)
         self.field_v = PolyField(self.vpoly)
-        chain = kappa_derivative_polys(f, 4)
-        self.kappa_polys = chain
+        self._kappa0 = kappa_derivative_polys(f, 0)
         self.g_poly = f.diff("x") ** 2 + f.diff("y") ** 2
-        w = (self.vpoly.diff("y") * f.diff("x")
-             - self.vpoly.diff("x") * f.diff("y"))
-        self.wpoly = w
-        self.field_w = PolyField(w)
         q = f.homogeneous_part(2)
         qm = np.array([[float(q.coeff(2, 0)), float(q.coeff(1, 1)) / 2.0],
                        [float(q.coeff(1, 1)) / 2.0, float(q.coeff(0, 2))]])
         self.quad_eigs = tuple(np.linalg.eigvalsh(qm))
         self._vertex_scale_cache: dict = {}
+
+    @cached_property
+    def kappa_polys(self) -> list:
+        """(P_j, e_j) for j = 0..4: see ``kappa_derivative_polys``."""
+        return kappa_derivative_polys(self.f, 4)
+
+    @cached_property
+    def wpoly(self) -> BivarPoly:
+        """W = V_y f_x - V_x f_y, the tangential derivative of V times |grad f|."""
+        return (self.vpoly.diff("y") * self.f.diff("x")
+                - self.vpoly.diff("x") * self.f.diff("y"))
+
+    @cached_property
+    def field_w(self) -> PolyField:
+        return PolyField(self.wpoly)
 
     # -- curvature derivative evaluation -----------------------------------
 
@@ -113,7 +137,8 @@ class LevelAnalyzer:
         g = self.g_poly.eval_grid(pts[:, 0], pts[:, 1])
         g = np.maximum(g, self.grad_floor ** 2)
         out = np.empty((len(pts), order + 1))
-        for j, (p, e) in enumerate(self.kappa_polys[:order + 1]):
+        chain = self._kappa0 if order == 0 else self.kappa_polys[:order + 1]
+        for j, (p, e) in enumerate(chain):
             out[:, j] = p.eval_grid(pts[:, 0], pts[:, 1]) / g ** (e / 2.0)
         return out
 
@@ -164,97 +189,45 @@ class LevelAnalyzer:
         tr, radius = self.trace_level(k, resolution=resolution, window=window,
                                       trace_tol=trace_tol)
         vmax = 0.0
-        crossings = []
+        starts, ends = [], []
         for c in tr.curves:
-            pts = c.points
+            pts = c.polyline()
             vv = self.field_v.values(pts)
             vmax = max(vmax, float(np.abs(vv).max()))
             s = np.where(vv >= 0.0, 1, -1)
-            n = len(pts)
-            idx_pairs = [(i, i + 1) for i in range(n - 1)]
-            if c.closed and n > 2:
-                idx_pairs.append((n - 1, 0))
-            for i, j in idx_pairs:
-                if s[i] * s[j] < 0:
-                    crossings.append((pts[i], pts[j]))
+            i = np.flatnonzero(s[:-1] * s[1:] < 0)
+            starts.append(pts[i])
+            ends.append(pts[i + 1])
         if vmax < 1e-13 * max(self._vertex_scale(radius), 1e-300):
             raise DegenerateLevelError(
                 "vertex function vanishes along the whole level curve; "
                 "every point is a vertex"
             )
-        vertices = []
-        for pa, pb in crossings:
-            p = self._polish_vertex(pa, pb, k)
-            if p is not None:
-                vertices.append(p)
-        vertices = self._drop_duplicates(vertices)
-        records = tuple(self._record(p, k, radius, deg_tol, classify)
-                        for p in vertices)
+        vertices = polish_crossings(PolyField(self.f - k), self.field_v,
+                                    np.vstack(starts), np.vstack(ends),
+                                    tol=1e-14, max_iter=12,
+                                    grad_floor=self.grad_floor)
+        vertices = dedupe_points(vertices, 1e-11)
+        records = self._records(vertices, k, radius, deg_tol, classify)
         return LevelCensus(level=k, vertex_count=len(records), records=records,
                            closed=all(c.closed for c in tr.curves),
                            trace_radius=radius,
                            residual_bound=max((c.residual_bound
                                                for c in tr.curves), default=0.0))
 
-    def _project_to_level(self, p: np.ndarray, k: float, iters: int = 8) -> np.ndarray:
-        for _ in range(iters):
-            fv = self.field_f.value(p[0], p[1]) - k
-            g = self.field_f.grads(p[None, :])[0]
-            g2 = float(g @ g)
-            if g2 < self.grad_floor ** 2:
-                break
-            p = p - (fv / g2) * g
-            if abs(fv) / math.sqrt(g2) < 1e-14:
-                break
-        return p
-
-    def _polish_vertex(self, pa: np.ndarray, pb: np.ndarray, k: float):
-        """Bisect the sign change of V along the level arc, then Newton-polish."""
-        va = self.field_v.value(pa[0], pa[1])
-        lo, hi = np.array(pa, float), np.array(pb, float)
-        for _ in range(30):
-            mid = self._project_to_level(0.5 * (lo + hi), k)
-            vm = self.field_v.value(mid[0], mid[1])
-            if va * vm <= 0:
-                hi = mid
-            else:
-                lo = mid
-        p = 0.5 * (lo + hi)
-        # joint Newton on (f - k, V)
-        for _ in range(12):
-            fv = self.field_f.value(p[0], p[1]) - k
-            vv = self.field_v.value(p[0], p[1])
-            gf = self.field_f.grads(p[None, :])[0]
-            gv = self.field_v.grads(p[None, :])[0]
-            det = gf[0] * gv[1] - gf[1] * gv[0]
-            if abs(det) < 1e-300:
-                break
-            delta = np.linalg.solve(np.array([gf, gv]), -np.array([fv, vv]))
-            p = p + delta
-            if np.linalg.norm(delta) < 1e-14:
-                break
-        return p
-
-    @staticmethod
-    def _drop_duplicates(pts: list, eps: float = 1e-11) -> list:
-        out: list = []
-        for p in pts:
-            if all(np.linalg.norm(p - q) > eps for q in out):
-                out.append(p)
-        return out
-
-    def _record(self, p: np.ndarray, k: float, radius: float, deg_tol: float,
-                classify: bool) -> VertexRecord:
-        d = self.kappa_derivatives(p[None, :], order=4)[0]
-        kappa = float(d[0])
-        if not classify:
-            return VertexRecord(point=(float(p[0]), float(p[1])), level=k,
-                                kappa=kappa, degeneracy="unchecked",
-                                extremum="none")
-        scales = self._derivative_scales(k, radius)
-        deg, extremum = _classify_from_derivatives(d[1:], scales, deg_tol)
-        return VertexRecord(point=(float(p[0]), float(p[1])), level=k,
-                            kappa=kappa, degeneracy=deg, extremum=extremum)
+    def _records(self, pts: np.ndarray, k: float, radius: float, deg_tol: float,
+                 classify: bool) -> tuple:
+        if not len(pts):
+            return ()
+        d = self.kappa_derivatives(pts, order=4 if classify else 0)
+        if classify:
+            scales = self._derivative_scales(k, radius)
+            kinds = [_classify_from_derivatives(dp[1:], scales, deg_tol) for dp in d]
+        else:
+            kinds = [("unchecked", "none")] * len(pts)
+        return tuple(VertexRecord(point=(float(p[0]), float(p[1])), level=k,
+                                  kappa=float(dp[0]), degeneracy=deg, extremum=ext)
+                     for p, dp, (deg, ext) in zip(pts, d, kinds))
 
     def _derivative_scales(self, k: float, radius: float) -> np.ndarray:
         """Typical magnitudes of derivatives 1..4 along the level curve."""
@@ -264,14 +237,12 @@ class LevelAnalyzer:
             return s
         ring = np.linspace(0, 2 * math.pi, 96, endpoint=False)
         seeds = radius * 0.7 * np.column_stack([np.cos(ring), np.sin(ring)])
-        pts = []
-        for q in seeds:
-            q = self._project_to_level(q.copy(), k)
-            if abs(self.field_f.value(q[0], q[1]) - k) < 1e-9 * max(abs(k), 1e-9):
-                pts.append(q)
-        if len(pts) < 8:
+        q = project_to_zero_set(PolyField(self.f - k), seeds,
+                                grad_floor=self.grad_floor)
+        on = np.abs(self.field_f.values(q) - k) < 1e-9 * max(abs(k), 1e-9)
+        if on.sum() < 8:
             raise NumericError("could not sample the level curve for scaling")
-        d = self.kappa_derivatives(np.array(pts), order=4)
+        d = self.kappa_derivatives(q[on], order=4)
         s = np.median(np.abs(d[:, 1:]), axis=0)
         s = np.maximum(s, 1e-300)
         self._vertex_scale_cache[key] = s
@@ -308,6 +279,7 @@ class LevelAnalyzer:
         circumference = 2 * math.pi * radius * 0.85
         h = max(h_factor, 1e-6) * circumference / (6 * math.pi) * 40
         center = np.array(p, float)
+        level = PolyField(self.f - k)
         sides = {}
         for direction in (1.0, -1.0):
             q = center.copy()
@@ -316,7 +288,8 @@ class LevelAnalyzer:
                 g = self.field_f.grads(q[None, :])[0]
                 t = np.array([-g[1], g[0]])
                 t /= max(np.linalg.norm(t), 1e-300)
-                q = self._project_to_level(q + direction * h * t, k)
+                q = project_to_zero_set(level, (q + direction * h * t)[None, :],
+                                        grad_floor=self.grad_floor)[0]
                 walked.append(q.copy())
             sides[direction] = walked
         ordered = list(reversed(sides[-1.0])) + [center] + sides[1.0]

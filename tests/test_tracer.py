@@ -210,6 +210,37 @@ class TestIntersectCurves:
         cb = trace_zero_set(fb, 6.0, 256).curves
         assert len(intersect_curves(ca, cb, fa, fb)) == 0
 
+    def test_closing_segment_counts(self):
+        # a line through the midpoint of the segment that closes the traced
+        # circle's polyline crosses the circle there and once more opposite
+        circle = bp({(2, 0): 1, (0, 2): 1, (0, 0): Fraction(-1, 4)})
+        fa = PolyField(circle)
+        (ca,) = trace_zero_set(fa, 1.0, 64).curves
+        assert ca.closed
+        mx, my = 0.5 * (ca.points[0] + ca.points[-1])
+        fb = PolyField(BivarPoly({(1, 0): -float(my), (0, 1): float(mx)}))
+        cb = trace_zero_set(fb, 1.0, 64).curves
+        pts = intersect_curves([ca], cb, fa, fb)
+        assert len(pts) == 2
+        assert np.abs(np.hypot(pts[:, 0], pts[:, 1]) - 0.5).max() < 1e-12
+
+    def test_near_tangent_pair(self):
+        # a level curve just above its count transition meets the vertex set
+        # in two points 1.7e-4 apart, closer than the grid step; Newton from
+        # the two polyline crossings alone lands both on one of them
+        fam = make_canonical_family(Fraction(3, 4), -1, Fraction(-1, 4))
+        f = fam.f_at((0.021432741375017928, 0.00355657242573939))
+        k = 0.0006892054136430523
+        fa, fb = PolyField(f - k), PolyField(vertex_poly(f))
+        radius = 0.037624186098137224
+        ca = trace_zero_set(fa, radius, 384).curves
+        cb = trace_zero_set(fb, radius, 384).curves
+        pts = intersect_curves(ca, cb, fa, fb)
+        assert len(pts) == 6
+        gaps = np.linalg.norm(pts[:, None] - pts[None], axis=2)
+        gaps[np.diag_indices(6)] = np.inf
+        assert 1e-4 < gaps.min() < 2e-4
+
 
 class TestGridIndependence:
     def test_umbilic_angles_stable_across_resolution(self):
@@ -222,3 +253,4 @@ class TestGridIndependence:
                             for b in an.branches.branches)
         for a, b in zip(got[256], got[512]):
             assert abs(a - b) < 0.5
+

@@ -227,3 +227,33 @@ def test_hexagonal_symmetry_exact():
         1: -half * rt * x - half * y,
     })
     assert _reduce_root3(image5) == lifted5
+
+
+# -- float substitution: no Fraction arithmetic on a float-parameter surface --
+
+
+@pytest.mark.parametrize("abc, chain_bit_identical", [
+    ((1, 0, 2), True),
+    ((Fraction(3, 4), Fraction(-5, 4), Fraction(1, 2)), False),
+])
+def test_float_substitution_matches_mixed_route(abc, chain_bit_identical):
+    fam = make_canonical_family(*abc)
+    tau = (0.05, 0.02)
+    f = fam.f_at(tau)
+    assert all(type(c) is float for c in f.terms.values())
+    # the mixed route keeps the parameter-free coefficients exact
+    mixed = BivarPoly({k: c.eval(tau) for k, c in fam.f.terms.items()})
+    assert not all(type(c) is float for c in mixed.terms.values())
+    assert f == mixed
+    assert vertex_poly(f) == vertex_poly(mixed)
+    chain = kappa_derivative_polys(f, 4)
+    chain_mixed = kappa_derivative_polys(mixed, 4)
+    if chain_bit_identical:
+        assert chain == chain_mixed
+    # P_4 of a quarter-integer cubic has exact rational terms wider than a
+    # double, which the mixed route rounds once and the float route per step
+    for (p, e), (q, eq) in zip(chain, chain_mixed):
+        assert e == eq
+        assert set(p.terms) == set(q.terms)
+        for key, c in q.terms.items():
+            assert abs(p.terms[key] - float(c)) <= 1e-15 * abs(float(c))

@@ -12,6 +12,7 @@ from vertexset.errors import (
 from vertexset.poly import BivarPoly
 from vertexset.surface import make_canonical_family
 from vertexset.tracer import PolyField, intersect_curves, trace_zero_set
+from vertexset import vertices
 from vertexset.vertices import LevelAnalyzer, vertex_census_sweep
 
 ELLIPSE = BivarPoly({(2, 0): Fraction(1, 4), (0, 2): Fraction(1)})
@@ -241,3 +242,90 @@ class TestAnalyzerValidation:
         p1, e1 = ellipse.kappa_polys[1]
         assert p1 == ellipse.vpoly
         assert e1 == 6
+
+
+class TestLazyConstruction:
+    def test_count_builds_no_chain_and_no_w(self, monkeypatch):
+        orders = []
+        build = vertices.kappa_derivative_polys
+
+        def spy(f, order):
+            orders.append(order)
+            return build(f, order)
+
+        monkeypatch.setattr(vertices, "kappa_derivative_polys", spy)
+        la = LevelAnalyzer(make_canonical_family(1, 0, 2).f_at((0.05, 0.02)))
+        counted = la.census(2e-3, classify=False)
+        assert orders == [0]
+        assert not {"kappa_polys", "wpoly", "field_w"} & set(vars(la))
+        classified = la.census(2e-3)
+        assert orders == [0, 4]
+        assert "wpoly" not in vars(la)
+        assert ([r.kappa for r in counted.records]
+                == [r.kappa for r in classified.records])
+
+
+def _polish_vertex_reference(la, pa, pb, k):
+    """One crossing at a time: bisect the sign change of V along the level
+    arc, projecting each midpoint onto f = k, then Newton on (f - k, V)."""
+    def project(p):
+        for _ in range(8):
+            fv = la.field_f.value(p[0], p[1]) - k
+            g = la.field_f.grads(p[None, :])[0]
+            g2 = float(g @ g)
+            if g2 < la.grad_floor ** 2:
+                break
+            p = p - (fv / g2) * g
+            if abs(fv) / math.sqrt(g2) < 1e-14:
+                break
+        return p
+
+    va = la.field_v.value(pa[0], pa[1])
+    lo, hi = np.array(pa, float), np.array(pb, float)
+    for _ in range(30):
+        mid = project(0.5 * (lo + hi))
+        if va * la.field_v.value(mid[0], mid[1]) <= 0:
+            hi = mid
+        else:
+            lo = mid
+    p = 0.5 * (lo + hi)
+    for _ in range(12):
+        fv = la.field_f.value(p[0], p[1]) - k
+        vv = la.field_v.value(p[0], p[1])
+        gf = la.field_f.grads(p[None, :])[0]
+        gv = la.field_v.grads(p[None, :])[0]
+        if abs(gf[0] * gv[1] - gf[1] * gv[0]) < 1e-300:
+            break
+        delta = np.linalg.solve(np.array([gf, gv]), -np.array([fv, vv]))
+        p = p + delta
+        if np.linalg.norm(delta) < 1e-14:
+            break
+    return p
+
+
+class TestBatchedPolish:
+    def test_matches_scalar_reference(self):
+        fam = make_canonical_family(1, 0, 2)
+        rng = np.random.default_rng(41)
+        for _ in range(20):
+            th = rng.uniform(0.0, 360.0)
+            if min(th % 60.0, 60.0 - th % 60.0) < 8.0:
+                th += 30.0
+            r = rng.uniform(0.02, 0.06)
+            tau = (r * math.cos(math.radians(th)), r * math.sin(math.radians(th)))
+            k = float(np.exp(rng.uniform(np.log(2e-4), np.log(2e-3))))
+            la = LevelAnalyzer(fam.f_at(tau))
+            got = np.array([rec.point for rec in
+                            la.census(k, resolution=256, classify=False).records])
+            tr, _ = la.trace_level(k, resolution=256)
+            want = []
+            for c in tr.curves:
+                pts = c.polyline()
+                s = np.sign(la.field_v.values(pts) + 0.0)
+                s[s == 0] = 1
+                for i in np.flatnonzero(s[:-1] * s[1:] < 0):
+                    p = _polish_vertex_reference(la, pts[i], pts[i + 1], k)
+                    if all(np.linalg.norm(p - q) > 1e-11 for q in want):
+                        want.append(p)
+            assert got.shape == (len(want), 2), (tau, k)
+            assert np.abs(got - np.array(want)).max() <= 1e-12, (tau, k)
