@@ -68,15 +68,6 @@ class DiscriminantScan:
     skipped: list  # (theta_deg, reason)
     metadata: dict
 
-    def __iter__(self):
-        return iter(self.angles)
-
-    def __len__(self):
-        return len(self.angles)
-
-    def __getitem__(self, i):
-        return self.angles[i]
-
 
 @dataclass
 class PairingFlip:

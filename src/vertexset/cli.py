@@ -399,13 +399,25 @@ def _curve_rows(polylines: list, vfield) -> list:
 # -- commands ----------------------------------------------------------------
 
 
+def _loose_curve_key(c) -> tuple:
+    if c.boundary_hits:
+        return (0, c.boundary_hits[0])
+    cx, cy = c.points.mean(axis=0)
+    return (1, math.atan2(cy, cx))
+
+
 def _cmd_trace_vertex_set(cfg: RunConfig) -> int:
     v = build_vertex_function(cfg.family).substitute_params(cfg.tau)
     an = analyze_vertex_set(v, radius=cfg.radius, resolution=cfg.resolution,
                             r_fit=cfg.r_fit)
-    # branches first (stitched through the origin), then avoiding curves
-    polylines = [b.points for b in an.branches.branches]
-    polylines.extend(c.points for c in an.branches.loose_curves)
+    # branches first (stitched through the origin) by line angle, then
+    # avoiding curves by the polar angle of their first boundary hit, closed
+    # ones last by that of their centroid: the curve order then does not
+    # depend on the order the tracer found the curves in
+    polylines = [b.points for b in sorted(an.branches.branches,
+                                          key=lambda b: b.line_angle)]
+    polylines.extend(c.points for c in sorted(an.branches.loose_curves,
+                                              key=_loose_curve_key))
     _write_csv(cfg.csv_path,
                ["curve_id", "seq", "x", "y", "tx", "ty", "residual"],
                _curve_rows(polylines, an.field))

@@ -255,6 +255,15 @@ class NVarPoly:
         return "NVarPoly(" + " + ".join(bits) + ")"
 
 
+def _power_rows(v: np.ndarray, n: int) -> np.ndarray:
+    """The (n, len(v)) array of powers v^0 .. v^(n-1), by repeated products."""
+    out = np.empty((n, v.size))
+    out[0] = 1.0
+    for k in range(1, n):
+        np.multiply(out[k - 1], v, out=out[k])
+    return out
+
+
 class BivarPoly:
     """Sparse polynomial in the surface variables (x, y)."""
 
@@ -431,18 +440,26 @@ class BivarPoly:
         if X.shape != Y.shape:
             X, Y = np.broadcast_arrays(X, Y)
         x = X.ravel()
-        y = Y.ravel()
         c = self._dense_coeffs()
-        ypow = np.empty((c.shape[1], x.size))
-        ypow[0] = 1.0
-        for j in range(1, c.shape[1]):
-            np.multiply(ypow[j - 1], y, out=ypow[j])
-        t = c @ ypow
+        t = c @ _power_rows(Y.ravel(), c.shape[1])
         out = t[-1].copy()
         for row in t[-2::-1]:
             out *= x
             out += row
         return out.reshape(X.shape)
+
+    def eval_lattice(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        """Float values on the lattice of two axes: Z[i, j] = p(xs[i], ys[j]).
+
+        With the dense coefficient matrix C and the power rows
+        Px[a, i] = xs[i]^a, Py[b, j] = ys[j]^b, the lattice is the product
+        Px^T C Py: two matrix products of sizes set by the degree and the
+        axis lengths, with no meshgrid and no per-point evaluation.
+        """
+        xs = np.asarray(xs, dtype=np.float64).ravel()
+        ys = np.asarray(ys, dtype=np.float64).ravel()
+        c = self._dense_coeffs()
+        return _power_rows(xs, c.shape[0]).T @ (c @ _power_rows(ys, c.shape[1]))
 
     # -- geometry ----------------------------------------------------------
 

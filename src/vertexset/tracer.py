@@ -1,10 +1,16 @@
 """Tracing zero sets of bivariate polynomials on a disc.
 
-The tracer walks a square-lattice sign grid (marching squares, lattice
-zeros counted as positive so every cell has an even crossing count),
-links edge crossings into chains, sharpens every point with a vectorized
-Newton projection onto the zero set, and clips the chains to the disc,
-recording where each curve meets the boundary circle.
+The tracer evaluates F on a square lattice as one product of power and
+coefficient matrices (``BivarPoly.eval_lattice``), reads the sign grid
+(marching squares, lattice zeros counted as positive so every cell has an
+even crossing count), links the edge crossings of all cells at once into
+a neighbour array, walks it into chains, sharpens every point with a
+vectorized Newton projection onto the zero set, and clips the chains to
+the disc, recording where each curve meets the boundary circle.
+
+Common zeros of two traced fields are found by ``polish_crossings``: a
+bracketed secant search along the arcs of one zero set, then a joint
+Newton step on both.
 
 Near a point where several arcs of the zero set cross (the origin for a
 vertex function, a node of a level curve) the sign grid cannot be linked
@@ -54,9 +60,6 @@ class PolyField:
         gx = self.px.eval_grid(pts[..., 0], pts[..., 1])
         gy = self.py.eval_grid(pts[..., 0], pts[..., 1])
         return np.stack([gx, gy], axis=-1)
-
-    def values_grid(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-        return self.p.eval_grid(X, Y)
 
     def hessian(self, x: float, y: float) -> np.ndarray:
         if self._hess is None:
@@ -198,27 +201,20 @@ def trace_zero_set(field: PolyField, radius: float, resolution: int = 512, *,
     half = radius * (1.0 + 8.0 / n)
     xs = np.linspace(-half, half, n + 1)
     h = xs[1] - xs[0]
-    X, Y = np.meshgrid(xs, xs, indexing="ij")
-    Z = field.values_grid(X, Y)
-    S = np.where(Z >= 0.0, 1, -1).astype(np.int8)
+    Z = field.p.eval_lattice(xs, xs)
+    S = Z >= 0.0
 
-    cross_x = (S[:-1, :] * S[1:, :]) < 0          # edge (i,j)-(i+1,j)
-    cross_y = (S[:, :-1] * S[:, 1:]) < 0          # edge (i,j)-(i,j+1)
+    cross_x = S[:-1, :] != S[1:, :]          # edge (i,j)-(i+1,j)
+    cross_y = S[:, :-1] != S[:, 1:]          # edge (i,j)-(i,j+1)
 
     ix, jx = np.nonzero(cross_x)
     iy, jy = np.nonzero(cross_y)
-    nx = len(ix)
     with np.errstate(divide="ignore", invalid="ignore"):
         tx = Z[ix, jx] / (Z[ix, jx] - Z[ix + 1, jx])
         ty = Z[iy, jy] / (Z[iy, jy] - Z[iy, jy + 1])
     px = np.column_stack([xs[ix] + tx * h, xs[jx]])
     py = np.column_stack([xs[iy], xs[jy] + ty * h])
-    pos = np.vstack([px, py]) if nx + len(iy) else np.zeros((0, 2))
-
-    ex_id = np.full(cross_x.shape, -1, dtype=np.int64)
-    ex_id[ix, jx] = np.arange(nx)
-    ey_id = np.full(cross_y.shape, -1, dtype=np.int64)
-    ey_id[iy, jy] = nx + np.arange(len(iy))
+    pos = np.vstack([px, py])
 
     cnt = (cross_x[:, :-1].astype(np.int8) + cross_x[:, 1:]
            + cross_y[:-1, :] + cross_y[1:, :])
@@ -228,8 +224,8 @@ def trace_zero_set(field: PolyField, radius: float, resolution: int = 512, *,
     if exclude_radius > 0:
         active &= cr2 > exclude_radius * exclude_radius
 
-    # decide which four-crossing cells sit on a crossing of the zero set
-    singular_cells = set()
+    # decide which four-crossing cells sit on a crossing of the zero set;
+    # those are not linked
     singular_pts = []
     quad = np.argwhere((cnt == 4) & active)
     if len(quad):
@@ -242,42 +238,16 @@ def trace_zero_set(field: PolyField, radius: float, resolution: int = 512, *,
             if exclude_radius > 0 and c[0] ** 2 + c[1] ** 2 <= (2 * exclude_radius) ** 2:
                 continue
             if gv < 0.35 * gmed and abs(fv) < 0.5 * gmed * h:
-                singular_cells.add((int(ci), int(cj)))
+                active[ci, cj] = False
                 p = _polish_critical(field, c, tol=grad_floor * 10)
                 if p is not None and abs(field.value(*p)) < gmed * h:
                     singular_pts.append(p)
 
-    adj: list[list[int]] = [[] for _ in range(len(pos))]
-
-    def link(a: int, b: int):
-        adj[a].append(b)
-        adj[b].append(a)
-
-    for ci, cj in np.argwhere(active):
-        ci, cj = int(ci), int(cj)
-        if (ci, cj) in singular_cells:
-            continue
-        bottom = ex_id[ci, cj] if cross_x[ci, cj] else -1
-        top = ex_id[ci, cj + 1] if cross_x[ci, cj + 1] else -1
-        left = ey_id[ci, cj] if cross_y[ci, cj] else -1
-        right = ey_id[ci + 1, cj] if cross_y[ci + 1, cj] else -1
-        edges = [e for e in (bottom, top, left, right) if e >= 0]
-        if len(edges) == 2:
-            link(edges[0], edges[1])
-        elif len(edges) == 4:
-            s_center = 1 if field.value(centers[ci], centers[cj]) >= 0 else -1
-            if s_center == S[ci, cj]:
-                link(bottom, right)
-                link(top, left)
-            else:
-                link(bottom, left)
-                link(top, right)
-
+    nbr = _link_cells(field, S, cross_x, cross_y, active, centers)
     pos, residuals = _newton_project(field, pos, trace_tol, grad_floor, step_cap=h)
 
-    chains = _assemble_chains(adj)
     curves = []
-    for node_ids, closed in chains:
+    for node_ids, closed in _assemble_chains(nbr):
         pts = pos[node_ids]
         res = residuals[node_ids]
         keep = np.ones(len(pts), dtype=bool)
@@ -298,38 +268,94 @@ def trace_zero_set(field: PolyField, radius: float, resolution: int = 512, *,
                        resolution=n)
 
 
-def _assemble_chains(adj: list) -> list:
-    """Split the degree-at-most-two link graph into open chains and cycles."""
-    nnodes = len(adj)
-    visited = np.zeros(nnodes, dtype=bool)
+def _link_cells(field: PolyField, S: np.ndarray, cross_x: np.ndarray,
+                cross_y: np.ndarray, active: np.ndarray,
+                centers: np.ndarray) -> np.ndarray:
+    """Link the edge crossings of the active cells; (n, 2) neighbour ids.
+
+    Crossing ids number the x-edges of ``cross_x`` and then the y-edges of
+    ``cross_y``, each in row-major order.  A two-crossing cell links its
+    two crossings; a four-crossing cell links them in two pairs chosen by
+    the sign of F at its center.  Row k of the result holds the neighbours
+    of crossing k in link order (cells row-major), -1 where absent; every
+    crossing lies on two cells, so it has at most two.
+    """
+    nx = int(np.count_nonzero(cross_x))
+    nnodes = nx + int(np.count_nonzero(cross_y))
+    ex_id = np.full(cross_x.shape, -1, dtype=np.int64)
+    ex_id[cross_x] = np.arange(nx)
+    ey_id = np.full(cross_y.shape, -1, dtype=np.int64)
+    ey_id[cross_y] = np.arange(nx, nnodes)
+
+    ci, cj = np.nonzero(active)
+    # (bottom, top, left, right) edge ids of every active cell
+    edges = np.column_stack([ex_id[ci, cj], ex_id[ci, cj + 1],
+                             ey_id[ci, cj], ey_id[ci + 1, cj]])
+    present = edges >= 0
+    two = np.flatnonzero(present.sum(axis=1) == 2)
+    links = [edges[two][present[two]].reshape(-1, 2)]
+    order = [2 * two]
+    for k in np.flatnonzero(present.all(axis=1)):
+        bottom, top, left, right = edges[k]
+        if (field.value(centers[ci[k]], centers[cj[k]]) >= 0) == S[ci[k], cj[k]]:
+            links.append([[bottom, right], [top, left]])
+        else:
+            links.append([[bottom, left], [top, right]])
+        order.append([2 * k, 2 * k + 1])
+    links = np.vstack(links)
+    seq = np.concatenate(order)
+    # each link is two directed half-edges; sort them by node, then by
+    # link sequence, and the first and second neighbours fall out in order
+    src = np.concatenate([links[:, 0], links[:, 1]])
+    dst = np.concatenate([links[:, 1], links[:, 0]])
+    perm = np.lexsort((np.concatenate([seq, seq]), src))
+    src, dst = src[perm], dst[perm]
+    first = np.ones(len(src), dtype=bool)
+    first[1:] = src[1:] != src[:-1]
+    nbr = np.full((nnodes, 2), -1, dtype=np.int64)
+    nbr[src[first], 0] = dst[first]
+    nbr[src[~first], 1] = dst[~first]
+    return nbr
+
+
+def _assemble_chains(nbr: np.ndarray) -> list:
+    """Split the degree-at-most-two link graph into open chains and cycles.
+
+    ``nbr`` holds each node's neighbours in link order, -1 where absent.
+    """
+    nb = nbr.tolist()
+    deg = np.count_nonzero(nbr >= 0, axis=1).tolist()
+    visited = [False] * len(nb)
     chains = []
-    for start in range(nnodes):
-        if visited[start] or len(adj[start]) != 1:
+    for start in range(len(nb)):
+        if visited[start] or deg[start] != 1:
             continue
         chain = [start]
         visited[start] = True
-        prev, cur = start, adj[start][0]
+        prev, cur = start, nb[start][0]
         while True:
             chain.append(cur)
             visited[cur] = True
-            nxt = [v for v in adj[cur] if v != prev]
-            if not nxt or visited[nxt[0]]:
+            a, b = nb[cur]
+            nxt = b if a == prev else a
+            if nxt < 0 or visited[nxt]:
                 break
-            prev, cur = cur, nxt[0]
+            prev, cur = cur, nxt
         chains.append((chain, False))
-    for start in range(nnodes):
-        if visited[start] or len(adj[start]) != 2:
+    for start in range(len(nb)):
+        if visited[start] or deg[start] != 2:
             continue
         chain = [start]
         visited[start] = True
-        prev, cur = start, adj[start][0]
+        prev, cur = start, nb[start][0]
         while cur != start and not visited[cur]:
             chain.append(cur)
             visited[cur] = True
-            nxt = [v for v in adj[cur] if v != prev]
-            if not nxt:
+            a, b = nb[cur]
+            nxt = b if a == prev else a
+            if nxt < 0:
                 break
-            prev, cur = cur, nxt[0]
+            prev, cur = cur, nxt
         closed = cur == start and len(chain) > 2
         chains.append((chain, closed))
     return chains
@@ -746,19 +772,47 @@ def polish_crossings(field_a: PolyField, field_b: PolyField, pa: np.ndarray,
                      grad_floor: float = GRAD_FLOOR) -> np.ndarray:
     """Common zeros of (F_a, F_b) on the arcs of F_a = 0 from pa[i] to pb[i].
 
-    Thirty bisection steps on the sign of F_b along each arc, every
-    midpoint projected onto F_a = 0, isolate the root on that arc, so
-    distinct arcs give distinct roots even where the two zero sets are
-    nearly tangent; joint Newton on (F_a, F_b) then polishes all points.
+    Where F_b changes sign from pa[i] to pb[i], a bracketed secant search
+    (Illinois) isolates the root on that arc: each round projects the
+    secant point of F_b onto F_a = 0 and keeps the sub-arc where F_b
+    changes sign, halving the stored F_b of an endpoint kept twice in a
+    row.  The root never leaves its own arc, so distinct arcs give
+    distinct roots even where the two zero sets are nearly tangent.  A
+    bracket stops at 2^-30 of its starting width, or on an exact zero of
+    F_b, or after 30 rounds.  Joint Newton on (F_a, F_b) then polishes
+    the last secant point of every bracket, and every other row from the
+    end where |F_b| is smaller.
     """
-    vb = field_b.values(pa)
-    lo, hi = pa, pb
+    lo = np.array(pa, dtype=float).reshape(-1, 2)
+    hi = np.array(pb, dtype=float).reshape(-1, 2)
+    flo, fhi = field_b.values(lo), field_b.values(hi)
+    root = np.where((np.abs(flo) <= np.abs(fhi))[:, None], lo, hi)
+    stop = (2.0 ** -30 * np.hypot(*(hi - lo).T)) ** 2
+    active = flo * fhi < 0
+    # +1 where the last round replaced lo, -1 where it replaced hi
+    moved = np.zeros(len(lo), dtype=np.int8)
     for _ in range(30):
-        mid = project_to_zero_set(field_a, 0.5 * (lo + hi), grad_floor=grad_floor)
-        left = (vb * field_b.values(mid) <= 0)[:, None]
-        lo, hi = np.where(left, lo, mid), np.where(left, mid, hi)
-    return joint_newton(field_a, field_b, 0.5 * (lo + hi), tol=tol,
-                        max_iter=max_iter)
+        idx = np.flatnonzero(active)
+        if not len(idx):
+            break
+        t = flo[idx] / (flo[idx] - fhi[idx])
+        mid = project_to_zero_set(field_a, lo[idx] + t[:, None] * (hi[idx] - lo[idx]),
+                                  grad_floor=grad_floor)
+        fm = field_b.values(mid)
+        root[idx] = mid
+        prod = flo[idx] * fm
+        # F_b changes sign on [lo, mid]: mid replaces hi, lo is kept
+        k = idx[prod < 0]
+        hi[k], fhi[k] = mid[prod < 0], fm[prod < 0]
+        flo[k[moved[k] == -1]] *= 0.5
+        moved[k] = -1
+        k = idx[prod > 0]
+        lo[k], flo[k] = mid[prod > 0], fm[prod > 0]
+        fhi[k[moved[k] == 1]] *= 0.5
+        moved[k] = 1
+        d = hi[idx] - lo[idx]
+        active[idx] = (fm != 0) & (np.einsum("ij,ij->i", d, d) > stop[idx])
+    return joint_newton(field_a, field_b, root, tol=tol, max_iter=max_iter)
 
 
 def _segment_intersections(A: np.ndarray, B: np.ndarray) -> tuple:

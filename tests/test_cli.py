@@ -9,6 +9,7 @@ import pytest
 from vertexset import NVarPoly, ParamPoly, SvgPlot
 from vertexset.cli import main, parse_config
 from vertexset.errors import ConfigError, InputError
+from vertexset.surface import make_canonical_family
 
 KSTAR_04_20 = 3.7196257842190975e-4
 
@@ -228,6 +229,45 @@ class TestTraceCommand:
         svg = (tmp_path / "out.svg").read_text()
         assert svg.startswith("<svg ")
         assert "href" not in svg
+
+
+    def test_curve_order_ignores_tracer_order(self, tmp_path, monkeypatch):
+        # two branches and one avoiding curve; every permutation of the
+        # tracer's branch and loose-curve lists must write the same rows
+        import dataclasses
+        import itertools
+
+        import vertexset.cli as cli
+
+        an = cli.analyze_vertex_set(
+            cli.build_vertex_function(make_canonical_family(1, 0, 2))
+            .substitute_params((0.03 * math.cos(math.radians(20)),
+                                0.03 * math.sin(math.radians(20)))),
+            radius=0.1, resolution=256)
+        bs = an.branches
+        extra = dataclasses.replace(bs.loose_curves[0],
+                                    points=bs.loose_curves[0].points[::-1],
+                                    boundary_hits=bs.loose_curves[0].boundary_hits[::-1])
+        bs = dataclasses.replace(bs, loose_curves=bs.loose_curves + [extra])
+        assert len(bs.branches) == 2 and len(bs.loose_curves) == 2
+        ini = tmp_path / "t.ini"
+        ini.write_text(_cfg(CANONICAL) + _cfg(f"""
+        [output]
+        csv = {tmp_path / 'out.csv'}
+        svg = {tmp_path / 'out.svg'}
+        """))
+        outs = set()
+        for branches, loose in itertools.product(
+                itertools.permutations(bs.branches),
+                itertools.permutations(bs.loose_curves)):
+            shuffled = dataclasses.replace(
+                an, branches=dataclasses.replace(bs, branches=list(branches),
+                                                 loose_curves=list(loose)))
+            monkeypatch.setattr(cli, "analyze_vertex_set",
+                                lambda *a, _an=shuffled, **k: _an)
+            assert main(["trace-vertex-set", str(ini)]) == 0
+            outs.add((tmp_path / "out.csv").read_bytes())
+        assert len(outs) == 1
 
 
 class TestCensusCommand:

@@ -1,8 +1,10 @@
-"""Property test of the dense ``BivarPoly.eval_grid`` kernel.
+"""Property tests of the dense ``BivarPoly.eval_grid`` and ``eval_lattice``
+kernels.
 
-The kernel must agree with exact rational evaluation to within
-1e-12 * sum |c| |x|^i |y|^j, the size of the terms it adds up, for
-int, Fraction and float coefficients and for every broadcast shape.
+Both must agree with exact rational evaluation to within
+1e-12 * sum |c| |x|^i |y|^j, the size of the terms they add up, for
+int, Fraction and float coefficients; ``eval_grid`` for every broadcast
+shape, ``eval_lattice`` for axes of any lengths, length 1 included.
 """
 
 from fractions import Fraction
@@ -69,4 +71,27 @@ def test_eval_grid_matches_exact(p, shapes, seed):
 def test_zero_polynomial(sx, sy):
     Z = BivarPoly({}).eval_grid(np.full(sx, 0.7), np.full(sy, -0.3))
     assert Z.shape == np.broadcast_shapes(sx, sy)
+    assert not Z.any()
+
+
+axis_lengths = st.integers(1, 6)
+
+
+@SETTINGS
+@given(polynomials, axis_lengths, axis_lengths, st.integers(0, 2 ** 32 - 1))
+def test_eval_lattice_matches_exact(p, nx, ny, seed):
+    rng = np.random.default_rng(seed)
+    xs = rng.uniform(-1.5, 1.5, size=nx)
+    ys = rng.uniform(-1.5, 1.5, size=ny)
+    Z = p.eval_lattice(xs, ys)
+    assert Z.shape == (nx, ny)
+    for i, j in np.ndindex(Z.shape):
+        exact, scale = exact_and_scale(p, float(xs[i]), float(ys[j]))
+        assert abs(Fraction(float(Z[i, j])) - exact) <= Fraction(1e-12) * scale
+
+
+@pytest.mark.parametrize("nx, ny", [(1, 1), (1, 4), (5, 1), (3, 7)])
+def test_zero_polynomial_lattice(nx, ny):
+    Z = BivarPoly({}).eval_lattice(np.full(nx, 0.7), np.full(ny, -0.3))
+    assert Z.shape == (nx, ny)
     assert not Z.any()

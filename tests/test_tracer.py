@@ -7,6 +7,7 @@ import pytest
 from vertexset.errors import InputError, InsufficientSamplingError
 from vertexset.poly import BivarPoly
 from vertexset.surface import make_canonical_family
+from vertexset import tracer
 from vertexset.tracer import (
     PolyField,
     analyze_vertex_set,
@@ -254,3 +255,91 @@ class TestGridIndependence:
         for a, b in zip(got[256], got[512]):
             assert abs(a - b) < 0.5
 
+
+
+def _reference_links(field, S, cross_x, cross_y, active, centers):
+    """The per-cell linker: adjacency lists filled one cell at a time."""
+    nx = int(cross_x.sum())
+    ex_id = np.full(cross_x.shape, -1)
+    ex_id[cross_x] = np.arange(nx)
+    ey_id = np.full(cross_y.shape, -1)
+    ey_id[cross_y] = nx + np.arange(int(cross_y.sum()))
+    adj = [[] for _ in range(nx + int(cross_y.sum()))]
+
+    def link(a, b):
+        adj[a].append(b)
+        adj[b].append(a)
+
+    for ci, cj in np.argwhere(active):
+        bottom = ex_id[ci, cj] if cross_x[ci, cj] else -1
+        top = ex_id[ci, cj + 1] if cross_x[ci, cj + 1] else -1
+        left = ey_id[ci, cj] if cross_y[ci, cj] else -1
+        right = ey_id[ci + 1, cj] if cross_y[ci + 1, cj] else -1
+        edges = [e for e in (bottom, top, left, right) if e >= 0]
+        if len(edges) == 2:
+            link(edges[0], edges[1])
+        elif len(edges) == 4:
+            s_center = field.value(centers[ci], centers[cj]) >= 0
+            if s_center == S[ci, cj]:
+                link(bottom, right)
+                link(top, left)
+            else:
+                link(bottom, left)
+                link(top, right)
+    return adj
+
+
+def _sign_grid(field, radius, n, exclude_radius=0.0):
+    half = radius * (1.0 + 8.0 / n)
+    xs = np.linspace(-half, half, n + 1)
+    S = field.p.eval_lattice(xs, xs) >= 0.0
+    cross_x = S[:-1, :] != S[1:, :]
+    cross_y = S[:, :-1] != S[:, 1:]
+    cnt = (cross_x[:, :-1].astype(int) + cross_x[:, 1:]
+           + cross_y[:-1, :] + cross_y[1:, :])
+    centers = 0.5 * (xs[:-1] + xs[1:])
+    active = cnt >= 2
+    if exclude_radius > 0:
+        active &= centers[:, None] ** 2 + centers[None, :] ** 2 > exclude_radius ** 2
+    return S, cross_x, cross_y, active, centers, int((cnt[active] == 4).sum())
+
+
+def _level_field(seed):
+    rng = np.random.default_rng(seed)
+    th = rng.uniform(0.0, 2 * math.pi)
+    r = rng.uniform(0.02, 0.06)
+    f = make_canonical_family(1, 0, 2).f_at((r * math.cos(th), r * math.sin(th)))
+    k = float(np.exp(rng.uniform(np.log(2e-4), np.log(2e-3))))
+    return PolyField(f - k), 0.08, 0.0
+
+
+def _vertex_field(seed):
+    rng = np.random.default_rng(seed)
+    th = rng.uniform(0.0, 2 * math.pi)
+    r = rng.uniform(0.0, 0.05)
+    f = make_canonical_family(1, 0, 2).f_at((r * math.cos(th), r * math.sin(th)))
+    return PolyField(vertex_poly(f)), 0.1, 0.004
+
+
+class TestLinkCells:
+    @pytest.mark.parametrize("make, seed", [(_level_field, s) for s in range(4)]
+                             + [(_vertex_field, s) for s in range(4)])
+    def test_matches_per_cell_reference(self, make, seed):
+        field, radius, exclude = make(seed)
+        grid = _sign_grid(field, radius, 255, exclude)
+        nbr = tracer._link_cells(field, *grid[:5])
+        got = [[v for v in row if v >= 0] for row in nbr.tolist()]
+        assert got == _reference_links(field, *grid[:5])
+
+    @pytest.mark.parametrize("c", [0, Fraction(1, 10 ** 6), Fraction(-1, 10 ** 6)])
+    @pytest.mark.parametrize("resolution", [63, 255])
+    def test_four_crossing_cells_of_cross_field(self, resolution, c):
+        # xy = c: at odd resolution the saddle sits inside the center cell,
+        # whose four corners alternate in sign; the sign of c decides which
+        # way the center-sign rule pairs its crossings
+        field = PolyField(bp({(1, 1): 1, (0, 0): -c}))
+        grid = _sign_grid(field, 0.5, resolution)
+        assert grid[5] >= 1
+        nbr = tracer._link_cells(field, *grid[:5])
+        got = [[v for v in row if v >= 0] for row in nbr.tolist()]
+        assert got == _reference_links(field, *grid[:5])

@@ -87,6 +87,26 @@ class TestCensus:
         assert deformed.census(KSTAR_05_02 * 0.5, classify=False).vertex_count == 4
         assert deformed.census(KSTAR_05_02 * 2.0, classify=False).vertex_count == 6
 
+    def test_bracket_keeps_merging_pair_apart(self, deformed):
+        # just above k* two vertices of the level curve are about to merge;
+        # each sign change of V keeps its own root through the polish
+        below = deformed.census(KSTAR_05_02 * (1 - 1e-3), classify=False)
+        above = deformed.census(KSTAR_05_02 * (1 + 1e-3), classify=False)
+        assert below.vertex_count == 4
+        assert above.vertex_count == 6
+        pts = np.array([r.point for r in above.records])
+        gaps = np.linalg.norm(pts[:, None] - pts[None], axis=2)
+        gaps[np.diag_indices(6)] = np.inf
+        i, j = np.unravel_index(np.argmin(gaps), gaps.shape)
+        assert gaps[i, j] > 1e-11
+        assert gaps[i, j] < 0.1 * np.delete(gaps[i], [i, j]).min()
+        # both are common zeros of f - k and V, to 1e-12 in distance
+        pair = pts[[i, j]]
+        for field, value in ((deformed.field_f, above.level), (deformed.field_v, 0.0)):
+            dist = (np.abs(field.values(pair) - value)
+                    / np.linalg.norm(field.grads(pair), axis=1))
+            assert dist.max() < 1e-12
+
     def test_count_even_for_closed(self, deformed):
         for k in (2e-4, 1e-3, 4e-3):
             c = deformed.census(k, classify=False)
