@@ -29,7 +29,7 @@ from .errors import (
     UnresolvedTopologyError,
 )
 from .surface import SurfaceFamily
-from .tracer import PolyField, analyze_vertex_set, boundary_crossings, classify_pairing
+from .tracer import analyze_vertex_set, boundary_crossings, classify_pairing, newton
 from .util import wrap_angle
 from .vertexfn import build_vertex_function, kappa_derivative_polys
 from .vertices import LevelAnalyzer
@@ -482,6 +482,42 @@ def cup_reference(k: float, samples: int = 720) -> np.ndarray:
 # -- vertex-set self-intersection on the discriminant -------------------------------
 
 
+def _newton_xyt(polys: list, tau: tuple, free_param: int, seed, max_iter: int,
+                what: str) -> tuple:
+    """Newton on (p_1, p_2, p_3) = 0 over (x, y, t) for three ParamPolys.
+
+    t replaces component ``free_param`` of tau and starts there, (x, y)
+    start at ``seed``.  A singular system or a step longer than
+    0.5 max|tau| + 0.1 raises NumericError naming ``what``.  Returns x, y,
+    the parameters at the solution and the number of steps taken.
+    """
+    polys_t = [p.map_coeffs(lambda c: c.diff(free_param)) for p in polys]
+
+    def system(states):
+        F = np.empty((len(states), 3))
+        J = np.empty((len(states), 3, 3))
+        for r, (x, y, t) in enumerate(states):
+            params = list(tau)
+            params[free_param] = t
+            for i, (p, pt) in enumerate(zip(polys, polys_t)):
+                q = p.substitute_params(params)
+                F[r, i] = q.eval(x, y)
+                J[r, i] = (q.diff("x").eval(x, y), q.diff("y").eval(x, y),
+                           pt.substitute_params(params).eval(x, y))
+        return F, J
+
+    max_step = 0.5 * max(abs(tau[0]), abs(tau[1]), 1e-6) + 0.1
+    state, converged, steps = newton(system, [[seed[0], seed[1], tau[free_param]]],
+                                     tol=1e-15, max_iter=max_iter, max_step=max_step)
+    if not converged[0] and steps[0] < max_iter:
+        raise NumericError(f"{what} iteration stopped after {steps[0]} steps: "
+                           f"singular system or a step longer than {max_step:.3g}")
+    x, y, t = (float(c) for c in state[0])
+    params = list(tau)
+    params[free_param] = t
+    return x, y, params, int(steps[0])
+
+
 def vertex_set_self_intersection(family: SurfaceFamily, tau, *,
                                  free_param: int = 1, seed=None,
                                  max_iter: int = 60) -> SelfIntersection:
@@ -505,38 +541,9 @@ def vertex_set_self_intersection(family: SurfaceFamily, tau, *,
             raise InputError("no default seed for this configuration; pass one")
         seed = (0.0, tau[0] / 3.0)
     vp = build_vertex_function(family)
-    vp_t = vp.map_coeffs(lambda c: c.diff(free_param))
-    state = np.array([seed[0], seed[1], tau[free_param]], dtype=float)
-    scale = max(abs(tau[0]), abs(tau[1]), 1e-6)
-    iterations = 0
-    for iterations in range(1, max_iter + 1):
-        params = list(tau)
-        params[free_param] = state[2]
-        v = vp.substitute_params(params)
-        vt = vp_t.substitute_params(params)
-        vx, vy = v.diff("x"), v.diff("y")
-        x, y = state[0], state[1]
-        fvec = np.array([v.eval(x, y), vx.eval(x, y), vy.eval(x, y)])
-        jac = np.array([
-            [fvec[1], fvec[2], vt.eval(x, y)],
-            [vx.diff("x").eval(x, y), vx.diff("y").eval(x, y),
-             vt.diff("x").eval(x, y)],
-            [vy.diff("x").eval(x, y), vy.diff("y").eval(x, y),
-             vt.diff("y").eval(x, y)],
-        ], dtype=float)
-        try:
-            delta = np.linalg.solve(jac, -fvec)
-        except np.linalg.LinAlgError as e:
-            raise NumericError(f"singular node system: {e}") from None
-        if np.linalg.norm(delta) > 0.5 * scale + 0.1:
-            raise NumericError("node iteration left the working region")
-        state = state + delta
-        if np.linalg.norm(delta) < 1e-15 * max(1.0, float(np.abs(state).max())):
-            break
-    params = list(tau)
-    params[free_param] = state[2]
+    x, y, params, iterations = _newton_xyt([vp, vp.diff("x"), vp.diff("y")], tau,
+                                           free_param, seed, max_iter, "node")
     v = vp.substitute_params(params)
-    x, y = float(state[0]), float(state[1])
     r = math.hypot(x, y)
     vscale = sum(abs(float(c)) * (2.0 * r) ** (i + j)
                  for (i, j), c in v.terms.items())
@@ -580,32 +587,8 @@ def two_degenerate_vertex(family: SurfaceFamily, tau, *, free_param: int = 1,
         chain = kappa_derivative_polys(family.f, 3)
         family.cache[key] = chain
     polys = [chain[1][0], chain[2][0], chain[3][0]]
-    polys_t = [p.map_coeffs(lambda c: c.diff(free_param)) for p in polys]
-    state = np.array([seed[0], seed[1], tau[free_param]], dtype=float)
-    scale = max(abs(tau[0]), abs(tau[1]), 1e-6)
-    iterations = 0
-    for iterations in range(1, max_iter + 1):
-        params = list(tau)
-        params[free_param] = state[2]
-        ps = [p.substitute_params(params) for p in polys]
-        pts = [p.substitute_params(params) for p in polys_t]
-        x, y = state[0], state[1]
-        fvec = np.array([p.eval(x, y) for p in ps])
-        jac = np.array([[p.diff("x").eval(x, y), p.diff("y").eval(x, y),
-                         pt.eval(x, y)]
-                        for p, pt in zip(ps, pts)])
-        try:
-            delta = np.linalg.solve(jac, -fvec)
-        except np.linalg.LinAlgError as e:
-            raise NumericError(f"singular degenerate-vertex system: {e}") from None
-        if np.linalg.norm(delta) > 0.5 * scale + 0.1:
-            raise NumericError("degenerate-vertex iteration left the working region")
-        state = state + delta
-        if np.linalg.norm(delta) < 1e-15 * max(1.0, float(np.abs(state).max())):
-            break
-    params = list(tau)
-    params[free_param] = state[2]
-    x, y = float(state[0]), float(state[1])
+    x, y, params, iterations = _newton_xyt(polys, tau, free_param, seed, max_iter,
+                                           "degenerate-vertex")
     r = math.hypot(x, y)
     ps = [p.substitute_params(params) for p in polys]
     residuals = []

@@ -406,16 +406,24 @@ def _loose_curve_key(c) -> tuple:
     return (1, math.atan2(cy, cx))
 
 
+def _oriented(pts: np.ndarray) -> np.ndarray:
+    """The points of a branch, starting from the end of smaller polar angle."""
+    if math.atan2(pts[-1, 1], pts[-1, 0]) < math.atan2(pts[0, 1], pts[0, 0]):
+        return pts[::-1]
+    return pts
+
+
 def _cmd_trace_vertex_set(cfg: RunConfig) -> int:
     v = build_vertex_function(cfg.family).substitute_params(cfg.tau)
     an = analyze_vertex_set(v, radius=cfg.radius, resolution=cfg.resolution,
                             r_fit=cfg.r_fit)
-    # branches first (stitched through the origin) by line angle, then
-    # avoiding curves by the polar angle of their first boundary hit, closed
-    # ones last by that of their centroid: the curve order then does not
-    # depend on the order the tracer found the curves in
-    polylines = [b.points for b in sorted(an.branches.branches,
-                                          key=lambda b: b.line_angle)]
+    # branches first (stitched through the origin) by line angle, each from
+    # its end of smaller polar angle, then avoiding curves by the polar angle
+    # of their first boundary hit, closed ones last by that of their
+    # centroid: the rows then do not depend on the order the tracer found
+    # or stitched the curves in
+    polylines = [_oriented(b.points) for b in sorted(an.branches.branches,
+                                                     key=lambda b: b.line_angle)]
     polylines.extend(c.points for c in sorted(an.branches.loose_curves,
                                               key=_loose_curve_key))
     _write_csv(cfg.csv_path,

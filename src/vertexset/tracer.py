@@ -5,12 +5,15 @@ coefficient matrices (``BivarPoly.eval_lattice``), reads the sign grid
 (marching squares, lattice zeros counted as positive so every cell has an
 even crossing count), links the edge crossings of all cells at once into
 a neighbour array, walks it into chains, sharpens every point with a
-vectorized Newton projection onto the zero set, and clips the chains to
-the disc, recording where each curve meets the boundary circle.
+vectorized Newton projection onto the zero set (``project_to_zero_set``),
+and clips the chains to the disc, solving (F, x^2 + y^2 - R^2) = 0 for
+the points where the curves meet the boundary circle.
 
 Common zeros of two traced fields are found by ``polish_crossings``: a
 bracketed secant search along the arcs of one zero set, then a joint
-Newton step on both.
+Newton step on both.  Every square Newton solve of the package, here and
+in ``vertices`` and ``bifurcation``, goes through one batched solver,
+``newton``.
 
 Near a point where several arcs of the zero set cross (the origin for a
 vertex function, a node of a level curve) the sign grid cannot be linked
@@ -46,7 +49,6 @@ class PolyField:
         self.p = p
         self.px = p.diff("x")
         self.py = p.diff("y")
-        self._hess = None
 
     def value(self, x: float, y: float) -> float:
         return float(self.p.eval(float(x), float(y)))
@@ -60,15 +62,6 @@ class PolyField:
         gx = self.px.eval_grid(pts[..., 0], pts[..., 1])
         gy = self.py.eval_grid(pts[..., 0], pts[..., 1])
         return np.stack([gx, gy], axis=-1)
-
-    def hessian(self, x: float, y: float) -> np.ndarray:
-        if self._hess is None:
-            self._hess = (self.px.diff("x"), self.px.diff("y"), self.py.diff("y"))
-        hxx, hxy, hyy = self._hess
-        a = float(hxx.eval(float(x), float(y)))
-        b = float(hxy.eval(float(x), float(y)))
-        c = float(hyy.eval(float(x), float(y)))
-        return np.array([[a, b], [b, c]])
 
 
 @dataclass
@@ -136,47 +129,91 @@ class PairingLabel:
     anchor_angles: tuple
 
 
-# -- marching squares -------------------------------------------------------
+# -- Newton's method -----------------------------------------------------------
 
 
-def _newton_project(field: PolyField, pts: np.ndarray, trace_tol: float,
-                    grad_floor: float, step_cap: float, iters: int = 8):
-    """Project points onto the zero set along the gradient, vectorized."""
-    pts = np.array(pts, dtype=float)
-    res = np.full(len(pts), np.inf)
-    if not len(pts):
-        return pts, res
-    for _ in range(iters):
-        f = field.values(pts)
-        g = field.grads(pts)
-        g2 = np.einsum("ij,ij->i", g, g)
-        gn = np.sqrt(g2)
-        res = np.abs(f) / np.maximum(gn, grad_floor)
-        if res.max() <= trace_tol:
-            break
-        step = f / np.maximum(g2, grad_floor * grad_floor)
-        move = step[:, None] * g
-        mlen = np.linalg.norm(move, axis=1)
-        scale = np.minimum(1.0, step_cap / np.maximum(mlen, 1e-300))
-        pts = pts - move * scale[:, None]
-    return pts, res
+def newton(system, x0: np.ndarray, *, tol: float, max_iter: int,
+           max_step: float = math.inf) -> tuple:
+    """Newton's method on many small square systems at once.
 
-
-def _polish_critical(field: PolyField, p0: np.ndarray, tol: float, max_iter: int = 15):
-    p = np.array(p0, dtype=float)
+    ``x0`` is an (n, d) array of seeds; ``system(x)`` returns the residuals
+    F (m, d) and the Jacobians J (m, d, d) at an (m, d) array of points.
+    Every row iterates on its own.  It stops, converged, after its first
+    step shorter than ``tol``, and it stops without stepping, not
+    converged, where J is singular (|det J| < 1e-300) or the step would be
+    longer than ``max_step``.  Returns the points, the convergence flags and
+    the number of steps each row took.
+    """
+    x = np.array(x0, dtype=float)
+    converged = np.zeros(len(x), dtype=bool)
+    iterations = np.zeros(len(x), dtype=np.int64)
+    active = np.ones(len(x), dtype=bool)
     for _ in range(max_iter):
-        g = field.grads(p[None, :])[0]
-        if np.linalg.norm(g) < tol:
-            return p
-        h = field.hessian(p[0], p[1])
-        det = h[0, 0] * h[1, 1] - h[0, 1] * h[1, 0]
-        if abs(det) < 1e-300:
-            return None
-        delta = np.linalg.solve(h, -g)
-        if np.linalg.norm(delta) > 1.0:
-            return None
-        p = p + delta
-    return p if np.linalg.norm(field.grads(p[None, :])[0]) < tol * 10 else None
+        idx = np.flatnonzero(active)
+        if not len(idx):
+            break
+        F, J = system(x[idx])
+        ok = np.abs(np.linalg.det(J)) >= 1e-300
+        delta = np.zeros_like(F)
+        delta[ok] = np.linalg.solve(J[ok], -F[ok, :, None])[..., 0]
+        length = np.linalg.norm(delta, axis=1)
+        ok &= length <= max_step
+        x[idx[ok]] += delta[ok]
+        iterations[idx[ok]] += 1
+        done = ok & (length < tol)
+        converged[idx[done]] = True
+        active[idx[~ok | done]] = False
+    return x, converged, iterations
+
+
+def field_system(field_a: PolyField, field_b: PolyField):
+    """The system (F_a, F_b) = 0 with Jacobian rows grad F_a, grad F_b."""
+    def system(p):
+        F = np.column_stack([field_a.values(p), field_b.values(p)])
+        return F, np.stack([field_a.grads(p), field_b.grads(p)], axis=1)
+    return system
+
+
+def critical_system(field: PolyField):
+    """The system grad F = 0, whose Jacobian is the Hessian of F."""
+    return field_system(PolyField(field.px), PolyField(field.py))
+
+
+def project_to_zero_set(field: PolyField, pts: np.ndarray, *, tol: float = 1e-14,
+                        step_cap: float = math.inf, grad_floor: float = GRAD_FLOOR,
+                        iters: int = 8) -> tuple:
+    """Newton-project an (n, 2) array of points onto F = 0 along grad F.
+
+    Each point stops on its own: after the step taken from within ``tol``
+    of the zero set, without stepping where its gradient is below
+    ``grad_floor``, or after ``iters`` steps.  Steps longer than
+    ``step_cap`` are shortened to it.  Returns the points and the residuals
+    |F| / max(|grad F|, grad_floor) at them, each with the gradient norm of
+    its last evaluation.
+    """
+    p = np.array(pts, dtype=float)
+    gnorm = np.full(len(p), grad_floor)
+    active = np.ones(len(p), dtype=bool)
+    for _ in range(iters):
+        idx = np.flatnonzero(active)
+        if not len(idx):
+            break
+        q = p[idx]
+        f = field.values(q)
+        g = field.grads(q)
+        g2 = np.einsum("ij,ij->i", g, g)
+        gnorm[idx] = np.maximum(np.sqrt(g2), grad_floor)
+        res = np.abs(f) / gnorm[idx]
+        move = g2 >= grad_floor ** 2
+        # the step is res long; rows that do not move get a zero step
+        c = f / np.where(move, g2, np.inf)
+        c *= np.minimum(1.0, step_cap / np.maximum(res, 1e-300))
+        p[idx] = q - c[:, None] * g
+        active[idx[~move | (res <= tol)]] = False
+    return p, np.abs(field.values(p)) / gnorm
+
+
+# -- marching squares -------------------------------------------------------
 
 
 def trace_zero_set(field: PolyField, radius: float, resolution: int = 512, *,
@@ -225,8 +262,9 @@ def trace_zero_set(field: PolyField, radius: float, resolution: int = 512, *,
         active &= cr2 > exclude_radius * exclude_radius
 
     # decide which four-crossing cells sit on a crossing of the zero set;
-    # those are not linked
-    singular_pts = []
+    # those are not linked, and the crossing is solved for as a critical
+    # point of F
+    sing = np.zeros((0, 2))
     quad = np.argwhere((cnt == 4) & active)
     if len(quad):
         qc = np.column_stack([centers[quad[:, 0]], centers[quad[:, 1]]])
@@ -234,19 +272,20 @@ def trace_zero_set(field: PolyField, radius: float, resolution: int = 512, *,
         gq = np.linalg.norm(field.grads(qc), axis=1)
         gmed = float(np.median(np.linalg.norm(field.grads(pos), axis=1))) if len(pos) else 1.0
         gmed = max(gmed, grad_floor)
-        for (ci, cj), fv, gv, c in zip(quad, fq, gq, qc):
-            if exclude_radius > 0 and c[0] ** 2 + c[1] ** 2 <= (2 * exclude_radius) ** 2:
-                continue
-            if gv < 0.35 * gmed and abs(fv) < 0.5 * gmed * h:
-                active[ci, cj] = False
-                p = _polish_critical(field, c, tol=grad_floor * 10)
-                if p is not None and abs(field.value(*p)) < gmed * h:
-                    singular_pts.append(p)
+        cells = (gq < 0.35 * gmed) & (np.abs(fq) < 0.5 * gmed * h)
+        if exclude_radius > 0:
+            cells &= cr2[quad[:, 0], quad[:, 1]] > (2 * exclude_radius) ** 2
+        active[quad[cells, 0], quad[cells, 1]] = False
+        if cells.any():
+            p, ok, _ = newton(critical_system(field), qc[cells],
+                              tol=grad_floor * 10, max_iter=15, max_step=1.0)
+            sing = p[ok & (np.abs(field.values(p)) < gmed * h)]
 
     nbr = _link_cells(field, S, cross_x, cross_y, active, centers)
-    pos, residuals = _newton_project(field, pos, trace_tol, grad_floor, step_cap=h)
+    pos, residuals = project_to_zero_set(field, pos, tol=trace_tol, step_cap=h,
+                                         grad_floor=grad_floor)
 
-    curves = []
+    runs = []
     for node_ids, closed in _assemble_chains(nbr):
         pts = pos[node_ids]
         res = residuals[node_ids]
@@ -255,13 +294,15 @@ def trace_zero_set(field: PolyField, radius: float, resolution: int = 512, *,
             d = np.linalg.norm(np.diff(pts, axis=0), axis=1)
             keep[1:] = d > h * 1e-6
         pts, res = pts[keep], res[keep]
-        if len(pts) < 2:
-            continue
-        curves.extend(_clip_to_disc(field, pts, res, radius, closed, trace_tol,
-                                    grad_floor))
+        if len(pts) >= 2:
+            runs.extend(_clip_to_disc(pts, res, radius, closed))
+    _refine_boundary_ends(field, runs, radius, h, grad_floor)
+    curves = [_finish_curve(field, pts, res, closed,
+                            tuple(math.atan2(pts[i, 1], pts[i, 0]) for i in ends),
+                            grad_floor)
+              for pts, res, closed, ends in runs]
     curves = [c for c in curves
               if len(c.points) >= 3 or len(c.boundary_hits) == 2]
-    sing = (np.array(singular_pts) if singular_pts else np.zeros((0, 2)))
     if len(sing) > 1:
         sing = dedupe_points(sing, 2 * h)
     return TraceResult(curves=curves, singular_points=sing, radius=radius,
@@ -374,32 +415,18 @@ def _circle_hit(p_in: np.ndarray, p_out: np.ndarray, radius: float) -> np.ndarra
     return p_in + t * d
 
 
-def _point_residual(field: PolyField, q: np.ndarray, grad_floor: float) -> float:
-    g = field.grads(q[None, :])[0]
-    return abs(field.value(q[0], q[1])) / max(float(np.linalg.norm(g)), grad_floor)
+def _clip_to_disc(pts: np.ndarray, res: np.ndarray, radius: float,
+                  closed: bool) -> list:
+    """The runs of a chain inside the disc, as (points, residuals, closed, ends).
 
-
-def _refine_on_circle(field: PolyField, q: np.ndarray, radius: float,
-                      grad_floor: float) -> np.ndarray:
-    for _ in range(6):
-        f = field.value(q[0], q[1])
-        g = field.grads(q[None, :])[0]
-        g2 = float(g @ g)
-        if g2 < grad_floor * grad_floor:
-            break
-        # project onto the zero set, then back onto the circle
-        q = q - (f / g2) * g
-        q = q * (radius / max(np.linalg.norm(q), 1e-300))
-    return q
-
-
-def _clip_to_disc(field: PolyField, pts: np.ndarray, res: np.ndarray,
-                  radius: float, closed: bool, trace_tol: float,
-                  grad_floor: float) -> list:
+    A run that leaves the disc ends on the crossing of its last chord with
+    the boundary circle; ``ends`` holds the indices of those end points,
+    in curve order, for ``_refine_boundary_ends`` to finish.
+    """
     norms = np.linalg.norm(pts, axis=1)
     inside = norms <= radius
     if closed and inside.all():
-        return [_finish_curve(field, pts, res, True, (), grad_floor)]
+        return [(pts, res, True, ())]
     if closed:
         k0 = int(np.argmin(inside))
         pts = np.roll(pts, -k0, axis=0)
@@ -423,24 +450,36 @@ def _clip_to_disc(field: PolyField, pts: np.ndarray, res: np.ndarray,
         b = k
         seg = pts[a:b + 1]
         sres = res[a:b + 1]
-        hits = []
+        ends = []
         if a > 0:
-            q = _refine_on_circle(field, _circle_hit(pts[a], pts[a - 1], radius),
-                                  radius, grad_floor)
-            seg = np.vstack([q, seg])
-            sres = np.append(_point_residual(field, q, grad_floor), sres)
-            hits.append(math.atan2(q[1], q[0]))
+            seg = np.vstack([_circle_hit(pts[a], pts[a - 1], radius), seg])
+            sres = np.append(np.inf, sres)
+            ends.append(0)
         if b < n - 1:
-            q = _refine_on_circle(field, _circle_hit(pts[b], pts[b + 1], radius),
-                                  radius, grad_floor)
-            seg = np.vstack([seg, q])
-            sres = np.append(sres, _point_residual(field, q, grad_floor))
-            hits.append(math.atan2(q[1], q[0]))
+            seg = np.vstack([seg, _circle_hit(pts[b], pts[b + 1], radius)])
+            sres = np.append(sres, np.inf)
+            ends.append(len(seg) - 1)
         if len(seg) >= 2:
-            out.append(_finish_curve(field, seg, sres, False, tuple(hits),
-                                     grad_floor))
+            out.append((seg, sres, False, tuple(ends)))
         k += 1
     return out
+
+
+def _refine_boundary_ends(field: PolyField, runs: list, radius: float,
+                          h: float, grad_floor: float) -> None:
+    """Solve (F, x^2 + y^2 - R^2) = 0 from every boundary end of the runs,
+    all at once, and write the points and their residuals in place."""
+    ends = [(seg, sres, i) for seg, sres, _, idx in runs for i in idx]
+    if not ends:
+        return
+    circle = PolyField(BivarPoly({(2, 0): 1.0, (0, 2): 1.0, (0, 0): -radius * radius}))
+    q, _, _ = newton(field_system(field, circle), [seg[i] for seg, _, i in ends],
+                     tol=1e-14 * radius, max_iter=8, max_step=h)
+    res = np.abs(field.values(q)) / np.maximum(np.linalg.norm(field.grads(q), axis=1),
+                                               grad_floor)
+    for (seg, sres, i), qi, ri in zip(ends, q, res):
+        seg[i] = qi
+        sres[i] = ri
 
 
 def _finish_curve(field: PolyField, pts: np.ndarray, res: np.ndarray,
@@ -711,62 +750,6 @@ def classify_pairing(bs: BranchSet, anchor_angles) -> PairingLabel:
 # -- curve intersections ------------------------------------------------------
 
 
-def joint_newton(field_a: PolyField, field_b: PolyField, pts: np.ndarray, *,
-                 tol: float, max_iter: int) -> np.ndarray:
-    """Newton on the joint system (F_a, F_b) = 0 from many seeds at once.
-
-    Every seed iterates on its own: it stops without stepping where the
-    Jacobian determinant falls below 1e-300, and after the first step
-    shorter than ``tol``.
-    """
-    p = np.array(pts, dtype=float).reshape(-1, 2)
-    active = np.ones(len(p), dtype=bool)
-    for _ in range(max_iter):
-        idx = np.flatnonzero(active)
-        if not len(idx):
-            break
-        q = p[idx]
-        fa = field_a.values(q)
-        fb = field_b.values(q)
-        ga = field_a.grads(q)
-        gb = field_b.grads(q)
-        det = ga[:, 0] * gb[:, 1] - ga[:, 1] * gb[:, 0]
-        ok = np.abs(det) >= 1e-300
-        det = np.where(ok, det, 1.0)
-        delta = np.column_stack([(ga[:, 1] * fb - gb[:, 1] * fa) / det,
-                                 (gb[:, 0] * fa - ga[:, 0] * fb) / det])
-        p[idx[ok]] = q[ok] + delta[ok]
-        small = np.hypot(delta[:, 0], delta[:, 1]) < tol
-        active[idx[~ok | small]] = False
-    return p
-
-
-def project_to_zero_set(field: PolyField, pts: np.ndarray, *,
-                        grad_floor: float = GRAD_FLOOR, iters: int = 8) -> np.ndarray:
-    """Newton-project an (n, 2) array of points onto F = 0 along grad F.
-
-    Each point stops on its own: without stepping once its gradient is
-    below the floor, and after the step that finds it within 1e-14 of the
-    zero set.
-    """
-    p = np.array(pts, dtype=float)
-    floor2 = grad_floor ** 2
-    active = np.ones(len(p), dtype=bool)
-    for _ in range(iters):
-        idx = np.flatnonzero(active)
-        if not len(idx):
-            break
-        q = p[idx]
-        fv = field.values(q)
-        g = field.grads(q)
-        g2 = np.einsum("ij,ij->i", g, g)
-        move = g2 >= floor2
-        p[idx[move]] = q[move] - (fv[move] / g2[move])[:, None] * g[move]
-        near = np.abs(fv) / np.sqrt(np.maximum(g2, floor2)) < 1e-14
-        active[idx[~move | near]] = False
-    return p
-
-
 def polish_crossings(field_a: PolyField, field_b: PolyField, pa: np.ndarray,
                      pb: np.ndarray, *, tol: float, max_iter: int,
                      grad_floor: float = GRAD_FLOOR) -> np.ndarray:
@@ -796,8 +779,8 @@ def polish_crossings(field_a: PolyField, field_b: PolyField, pa: np.ndarray,
         if not len(idx):
             break
         t = flo[idx] / (flo[idx] - fhi[idx])
-        mid = project_to_zero_set(field_a, lo[idx] + t[:, None] * (hi[idx] - lo[idx]),
-                                  grad_floor=grad_floor)
+        mid, _ = project_to_zero_set(field_a, lo[idx] + t[:, None] * (hi[idx] - lo[idx]),
+                                     grad_floor=grad_floor)
         fm = field_b.values(mid)
         root[idx] = mid
         prod = flo[idx] * fm
@@ -812,7 +795,7 @@ def polish_crossings(field_a: PolyField, field_b: PolyField, pa: np.ndarray,
         moved[k] = 1
         d = hi[idx] - lo[idx]
         active[idx] = (fm != 0) & (np.einsum("ij,ij->i", d, d) > stop[idx])
-    return joint_newton(field_a, field_b, root, tol=tol, max_iter=max_iter)
+    return newton(field_system(field_a, field_b), root, tol=tol, max_iter=max_iter)[0]
 
 
 def _segment_intersections(A: np.ndarray, B: np.ndarray) -> tuple:

@@ -4,9 +4,9 @@ A vertex of a level curve of f is a point where the arclength derivative
 of the curve's curvature vanishes, i.e. where the vertex function V of f
 meets the curve.  For a fixed surface this module locates vertices level
 by level: trace f = k, find sign changes of V along the traced curve,
-sharpen all of them at once by bisection along the level and a joint
-Newton iteration on (f - k, V), and classify every vertex by curvature
-value, extremum type, and degeneracy.  Degeneracy uses the exact
+sharpen all of them at once by a bracketed secant search along the level
+and a joint Newton iteration on (f - k, V), and classify every vertex by
+curvature value, extremum type, and degeneracy.  Degeneracy uses the exact
 tangential derivative chain of the curvature by default, with an
 independent finite-difference probe available for cross-checking.  A
 transition search finds the level k* at which the vertex count changes,
@@ -33,8 +33,9 @@ from .errors import (
     NumericError,
 )
 from .poly import BivarPoly
-from .tracer import (GRAD_FLOOR, TRACE_TOL, PolyField, dedupe_points,
-                     polish_crossings, project_to_zero_set, trace_zero_set)
+from .tracer import (GRAD_FLOOR, TRACE_TOL, PolyField, critical_system,
+                     dedupe_points, field_system, newton, polish_crossings,
+                     project_to_zero_set, trace_zero_set)
 from .vertexfn import kappa_derivative_polys, vertex_poly
 
 DEG_TOL = 1e-4
@@ -237,8 +238,8 @@ class LevelAnalyzer:
             return s
         ring = np.linspace(0, 2 * math.pi, 96, endpoint=False)
         seeds = radius * 0.7 * np.column_stack([np.cos(ring), np.sin(ring)])
-        q = project_to_zero_set(PolyField(self.f - k), seeds,
-                                grad_floor=self.grad_floor)
+        q, _ = project_to_zero_set(PolyField(self.f - k), seeds,
+                                   grad_floor=self.grad_floor)
         on = np.abs(self.field_f.values(q) - k) < 1e-9 * max(abs(k), 1e-9)
         if on.sum() < 8:
             raise NumericError("could not sample the level curve for scaling")
@@ -289,7 +290,7 @@ class LevelAnalyzer:
                 t = np.array([-g[1], g[0]])
                 t /= max(np.linalg.norm(t), 1e-300)
                 q = project_to_zero_set(level, (q + direction * h * t)[None, :],
-                                        grad_floor=self.grad_floor)[0]
+                                        grad_floor=self.grad_floor)[0][0]
                 walked.append(q.copy())
             sides[direction] = walked
         ordered = list(reversed(sides[-1.0])) + [center] + sides[1.0]
@@ -316,7 +317,8 @@ class LevelAnalyzer:
         A geometric ladder locates a bracket, bisection narrows it to
         ``rel_tol`` relative width, and the merge point is polished on the
         tangency system (V = 0, dV/ds = 0); k* is then f at the merge point
-        when that lands inside the bracket, otherwise the bisection midpoint.
+        when Newton converges there and lands inside the bracket, otherwise
+        the bisection midpoint.
         """
         if not 0 < k_lo < k_hi:
             raise InputError("need 0 < k_lo < k_hi")
@@ -357,16 +359,17 @@ class LevelAnalyzer:
         dd[np.diag_indices(len(pts))] = np.inf
         i, j = np.unravel_index(np.argmin(dd), dd.shape)
         seed = 0.5 * (pts[i] + pts[j])
-        merge = self._polish_tangency(seed)
+        p, converged, _ = newton(field_system(self.field_v, self.field_w),
+                                 seed[None, :], tol=1e-14, max_iter=20,
+                                 max_step=0.5)
+        merge = p[0] if converged[0] else seed
         polished = False
         kstar = math.sqrt(lo * hi)
-        if merge is not None:
+        if converged[0]:
             k_cand = self.field_f.value(merge[0], merge[1])
             if lo * (1 - 5 * rel_tol) <= k_cand <= hi * (1 + 5 * rel_tol):
                 kstar = k_cand
                 polished = True
-        if merge is None:
-            merge = seed
         rec = self.classify_vertex(merge, kstar, deg_tol=deg_tol)
         return KStarResult(kstar=float(kstar),
                            merge_point=(float(merge[0]), float(merge[1])),
@@ -374,66 +377,36 @@ class LevelAnalyzer:
                            count_low=lo_c, count_high=hi_c,
                            degeneracy=rec.degeneracy, polished=polished)
 
-    def _polish_tangency(self, seed: np.ndarray, iters: int = 20):
-        p = np.array(seed, dtype=float)
-        for _ in range(iters):
-            vv = self.field_v.value(p[0], p[1])
-            wv = self.field_w.value(p[0], p[1])
-            gv = self.field_v.grads(p[None, :])[0]
-            gw = self.field_w.grads(p[None, :])[0]
-            det = gv[0] * gw[1] - gv[1] * gw[0]
-            if abs(det) < 1e-300:
-                return None
-            delta = np.linalg.solve(np.array([gv, gw]), -np.array([vv, wv]))
-            step = float(np.linalg.norm(delta))
-            if step > 0.5:
-                return None
-            p = p + delta
-            if step < 1e-14:
-                return p
-        return p
-
     # -- critical points of the surface ------------------------------------------
 
     def critical_points(self, window: float = 0.6, *, seeds: int = 21) -> list:
-        """Nondegenerate critical points of f inside the window square."""
+        """Nondegenerate critical points of f inside the window square.
+
+        Newton on grad f = 0 runs from every point of a seeds x seeds grid;
+        a seed counts when its iteration converges inside the window with
+        |grad f| < 1e-10, and the first seed (row-major) to land within
+        1e-8 of a critical point names it.
+        """
         xs = np.linspace(-window, window, seeds)
+        grid = np.column_stack([np.repeat(xs, len(xs)), np.tile(xs, len(xs))])
+        system = critical_system(self.field_f)
+        p, ok, _ = newton(system, grid, tol=1e-15, max_iter=30,
+                          max_step=0.5 * window)
+        grad, hess = system(p)
+        ok &= (np.linalg.norm(grad, axis=1) < 1e-10) & (np.abs(p).max(axis=1) <= window)
         found: list[CriticalPoint] = []
-        for x0 in xs:
-            for y0 in xs:
-                p = np.array([x0, y0])
-                ok = False
-                for _ in range(30):
-                    g = self.field_f.grads(p[None, :])[0]
-                    if np.linalg.norm(g) < 1e-13:
-                        ok = True
-                        break
-                    h = self.field_f.hessian(p[0], p[1])
-                    det = h[0, 0] * h[1, 1] - h[0, 1] * h[1, 0]
-                    if abs(det) < 1e-300:
-                        break
-                    delta = np.linalg.solve(h, -g)
-                    if np.linalg.norm(delta) > 0.5 * window:
-                        break
-                    p = p + delta
-                    if np.linalg.norm(delta) < 1e-15:
-                        ok = np.linalg.norm(self.field_f.grads(p[None, :])[0]) < 1e-10
-                        break
-                if not ok or np.abs(p).max() > window:
-                    continue
-                if any(np.linalg.norm(p - np.array(c.point)) < 1e-8 for c in found):
-                    continue
-                h = self.field_f.hessian(p[0], p[1])
-                det = h[0, 0] * h[1, 1] - h[0, 1] * h[1, 0]
-                if det < 0:
-                    kind = "saddle"
-                elif h[0, 0] + h[1, 1] > 0:
-                    kind = "min"
-                else:
-                    kind = "max"
-                found.append(CriticalPoint(point=(float(p[0]), float(p[1])),
-                                           value=float(self.field_f.value(*p)),
-                                           kind=kind))
+        for q, h, v in zip(p[ok], hess[ok], self.field_f.values(p[ok])):
+            if any(np.linalg.norm(q - np.array(c.point)) < 1e-8 for c in found):
+                continue
+            det = h[0, 0] * h[1, 1] - h[0, 1] * h[1, 0]
+            if det < 0:
+                kind = "saddle"
+            elif h[0, 0] + h[1, 1] > 0:
+                kind = "min"
+            else:
+                kind = "max"
+            found.append(CriticalPoint(point=(float(q[0]), float(q[1])),
+                                       value=float(v), kind=kind))
         found.sort(key=lambda c: abs(c.value))
         return found
 

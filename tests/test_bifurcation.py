@@ -364,6 +364,12 @@ class TestSelfIntersection:
         with pytest.raises(InputError):
             two_degenerate_vertex(fam, (0.05, 0.0), free_param=-1)
 
+    def test_far_seed_raises(self, fam):
+        with pytest.raises(NumericError):
+            vertex_set_self_intersection(fam, (0.05, 0.0), seed=(3.0, -3.0))
+        with pytest.raises(NumericError):
+            two_degenerate_vertex(fam, (0.05, 0.0), seed=(3.0, -3.0))
+
     def test_seed_required_off_axis(self, fam):
         with pytest.raises(InputError):
             vertex_set_self_intersection(fam, (0.0, 0.05))

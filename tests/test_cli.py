@@ -232,8 +232,9 @@ class TestTraceCommand:
 
 
     def test_curve_order_ignores_tracer_order(self, tmp_path, monkeypatch):
-        # two branches and one avoiding curve; every permutation of the
-        # tracer's branch and loose-curve lists must write the same rows
+        # two branches and one avoiding curve, plus a reversed copy of a
+        # branch and of the curve; every permutation of the tracer's branch
+        # and loose-curve lists must write the same rows
         import dataclasses
         import itertools
 
@@ -248,8 +249,12 @@ class TestTraceCommand:
         extra = dataclasses.replace(bs.loose_curves[0],
                                     points=bs.loose_curves[0].points[::-1],
                                     boundary_hits=bs.loose_curves[0].boundary_hits[::-1])
-        bs = dataclasses.replace(bs, loose_curves=bs.loose_curves + [extra])
-        assert len(bs.branches) == 2 and len(bs.loose_curves) == 2
+        reversed_branch = dataclasses.replace(bs.branches[0],
+                                              points=bs.branches[0].points[::-1],
+                                              boundary_hits=bs.branches[0].boundary_hits[::-1])
+        bs = dataclasses.replace(bs, branches=bs.branches + [reversed_branch],
+                                 loose_curves=bs.loose_curves + [extra])
+        assert len(bs.branches) == 3 and len(bs.loose_curves) == 2
         ini = tmp_path / "t.ini"
         ini.write_text(_cfg(CANONICAL) + _cfg(f"""
         [output]

@@ -76,6 +76,23 @@ class TestTraceZeroSet:
         assert len(hits) == 4
         assert len(tr.curves) == 2
 
+    @pytest.mark.parametrize("tau", [(0.0, 0.0), (0.05, 0.02)])
+    def test_boundary_hits_on_curve_and_circle(self, tau):
+        v = vertex_poly(make_canonical_family(1, 0, 2).f_at(tau))
+        an = analyze_vertex_set(v, radius=0.1, resolution=384)
+        field = an.field
+        ends = []
+        for c in an.trace.curves:
+            for h in c.boundary_hits:
+                (p,) = [q for q in (c.points[0], c.points[-1])
+                        if math.atan2(q[1], q[0]) == h]
+                ends.append(p)
+        assert len(ends) == 6
+        ends = np.array(ends)
+        dist = np.abs(field.values(ends)) / np.linalg.norm(field.grads(ends), axis=1)
+        assert dist.max() <= 1e-15
+        assert np.abs(np.hypot(ends[:, 0], ends[:, 1]) - 0.1).max() <= 1e-15
+
     def test_resolution_validation(self):
         with pytest.raises(InputError):
             trace_zero_set(PolyField(CIRCLE), 1.5, 4)
@@ -187,6 +204,37 @@ class TestClassifyPairing:
         bs = self._branchset((0.0, 0.0))
         with pytest.raises(InputError):
             classify_pairing(bs, anchors[:4])
+
+
+class TestNewton:
+    @staticmethod
+    def _system(p):
+        # (x^2 - 2, y^2 - 9): J is singular on x = 0 and the first step from
+        # x near 0 is long
+        F = np.column_stack([p[:, 0] ** 2 - 2.0, p[:, 1] ** 2 - 9.0])
+        J = np.zeros((len(p), 2, 2))
+        J[:, 0, 0] = 2.0 * p[:, 0]
+        J[:, 1, 1] = 2.0 * p[:, 1]
+        return F, J
+
+    def test_rows_stop_on_their_own(self):
+        seeds = np.array([[1.0, 2.0], [0.0, 2.0], [1e-3, 2.0], [-5.0, -1.0]])
+        x, converged, steps = tracer.newton(self._system, seeds, tol=1e-14,
+                                            max_iter=30, max_step=10.0)
+        assert converged.tolist() == [True, False, False, True]
+        assert x[0] == pytest.approx([math.sqrt(2.0), 3.0], abs=1e-15)
+        assert x[3] == pytest.approx([-math.sqrt(2.0), -3.0], abs=1e-15)
+        # singular and over-long rows stop where they are, without a step
+        assert np.array_equal(x[1:3], seeds[1:3])
+        assert steps[1] == steps[2] == 0
+        assert 3 <= steps[0] < 30 and 3 <= steps[3] < 30
+
+    def test_iteration_cap(self):
+        x, converged, steps = tracer.newton(self._system, [[1.0, 2.0]], tol=1e-14,
+                                            max_iter=2)
+        assert not converged[0]
+        assert steps[0] == 2
+        assert abs(x[0, 0] - math.sqrt(2.0)) < 1e-2
 
 
 class TestIntersectCurves:

@@ -206,7 +206,74 @@ class TestCountTransition:
         assert max(ratios) / min(ratios) < 2.0
 
 
+def _critical_points_reference(la, window, seeds=21):
+    """One seed at a time: Newton on grad f with the Hessian evaluated term
+    by term; (point, kind) in seed order, duplicates within 1e-8 dropped."""
+    fx, fy = la.f.diff("x"), la.f.diff("y")
+    hxx, hxy, hyy = fx.diff("x"), fx.diff("y"), fy.diff("y")
+
+    def grad(p):
+        return np.array([float(fx.eval(p[0], p[1])), float(fy.eval(p[0], p[1]))])
+
+    def hess(p):
+        b = float(hxy.eval(p[0], p[1]))
+        return np.array([[float(hxx.eval(p[0], p[1])), b],
+                         [b, float(hyy.eval(p[0], p[1]))]])
+
+    xs = np.linspace(-window, window, seeds)
+    found = []
+    for x0 in xs:
+        for y0 in xs:
+            p = np.array([x0, y0])
+            ok = False
+            for _ in range(30):
+                g = grad(p)
+                if np.linalg.norm(g) < 1e-13:
+                    ok = True
+                    break
+                h = hess(p)
+                if abs(h[0, 0] * h[1, 1] - h[0, 1] * h[1, 0]) < 1e-300:
+                    break
+                delta = np.linalg.solve(h, -g)
+                if np.linalg.norm(delta) > 0.5 * window:
+                    break
+                p = p + delta
+                if np.linalg.norm(delta) < 1e-15:
+                    ok = np.linalg.norm(grad(p)) < 1e-10
+                    break
+            if not ok or np.abs(p).max() > window:
+                continue
+            if any(np.linalg.norm(p - q) < 1e-8 for q, _ in found):
+                continue
+            h = hess(p)
+            if h[0, 0] * h[1, 1] - h[0, 1] ** 2 < 0:
+                kind = "saddle"
+            else:
+                kind = "min" if h[0, 0] + h[1, 1] > 0 else "max"
+            found.append((p, kind))
+    return found
+
+
 class TestCriticalPoints:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_per_seed_reference(self, seed):
+        rng = np.random.default_rng(seed)
+        a, b, c = (Fraction(int(v), 4) for v in rng.integers(-16, 17, 3))
+        if b == c:
+            c += 1
+        th = rng.uniform(0.0, 2 * math.pi)
+        r = rng.uniform(0.02, 0.08)
+        la = LevelAnalyzer(make_canonical_family(a, b, c).f_at(
+            (r * math.cos(th), r * math.sin(th))))
+        got = la.critical_points(window=0.6)
+        want = _critical_points_reference(la, 0.6)
+        assert len(got) == len(want) >= 1
+        for q, kind in want:
+            (match,) = [cp for cp in got
+                        if np.linalg.norm(np.array(cp.point) - q) < 1e-8]
+            assert match.kind == kind
+            assert np.abs(np.array(match.point) - q).max() <= 1e-12
+
     def test_deformed_critical_points(self):
         la = LevelAnalyzer(make_canonical_family(1, 0, 2).f_at((0.05, 0.0)))
         cps = la.critical_points(window=0.6)
