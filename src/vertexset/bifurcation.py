@@ -113,10 +113,6 @@ class DegenerateVertexPoint:
 # -- angle helpers -------------------------------------------------------------
 
 
-def _deg_dist(a: float, b: float) -> float:
-    return abs(math.degrees(wrap_angle(math.radians(a - b))))
-
-
 def _dist_to_multiple(theta_deg: float, step: float = 60.0) -> float:
     m = theta_deg % step
     return min(m, step - m)
@@ -482,16 +478,24 @@ def cup_reference(k: float, samples: int = 720) -> np.ndarray:
 # -- vertex-set self-intersection on the discriminant -------------------------------
 
 
-def _newton_xyt(polys: list, tau: tuple, free_param: int, seed, max_iter: int,
+def _newton_xyt(polys: list, tau, free_param: int, seed, max_iter: int,
                 what: str) -> tuple:
     """Newton on (p_1, p_2, p_3) = 0 over (x, y, t) for three ParamPolys.
 
     t replaces component ``free_param`` of tau and starts there, (x, y)
-    start at ``seed``.  A singular system or a step longer than
+    start at ``seed``, by default at (0, lam/3) (see the public entry
+    points).  A singular system or a step longer than
     0.5 max|tau| + 0.1 raises NumericError naming ``what``.  Returns x, y,
     the parameters at the solution and the number of steps taken.
     """
-    polys_t = [p.map_coeffs(lambda c: c.diff(free_param)) for p in polys]
+    tau = tuple(float(v) for v in tau)
+    if not 0 <= free_param < polys[0].nparams:
+        raise InputError("free_param out of range")
+    if seed is None:
+        if free_param != 1 or tau[0] == 0.0:
+            raise InputError("no default seed for this configuration; pass one")
+        seed = (0.0, tau[0] / 3.0)
+    polys_t = [p.diff_param(free_param) for p in polys]
 
     def system(states):
         F = np.empty((len(states), 3))
@@ -518,6 +522,13 @@ def _newton_xyt(polys: list, tau: tuple, free_param: int, seed, max_iter: int,
     return x, y, params, int(steps[0])
 
 
+def _classify_on_level(family: SurfaceFamily, x: float, y: float, params) -> tuple:
+    """The level of f through (x, y) at ``params`` and the vertex record there."""
+    la = LevelAnalyzer(family.f_at(params))
+    k = float(la.field_f.value(x, y))
+    return k, la.classify_vertex((x, y), k)
+
+
 def vertex_set_self_intersection(family: SurfaceFamily, tau, *,
                                  free_param: int = 1, seed=None,
                                  max_iter: int = 60) -> SelfIntersection:
@@ -533,20 +544,11 @@ def vertex_set_self_intersection(family: SurfaceFamily, tau, *,
     jet model at (0, lam/3) is used, which covers families normalized so
     the free parameter is the second one.
     """
-    tau = tuple(float(v) for v in tau)
-    if not 0 <= free_param < family.nparams:
-        raise InputError("free_param out of range")
-    if seed is None:
-        if free_param != 1 or tau[0] == 0.0:
-            raise InputError("no default seed for this configuration; pass one")
-        seed = (0.0, tau[0] / 3.0)
     vp = build_vertex_function(family)
     x, y, params, iterations = _newton_xyt([vp, vp.diff("x"), vp.diff("y")], tau,
                                            free_param, seed, max_iter, "node")
     v = vp.substitute_params(params)
-    r = math.hypot(x, y)
-    vscale = sum(abs(float(c)) * (2.0 * r) ** (i + j)
-                 for (i, j), c in v.terms.items())
+    vscale = v.bound_on_disc(2.0 * math.hypot(x, y))
     vres = abs(v.eval(x, y))
     gres = math.hypot(v.diff("x").eval(x, y), v.diff("y").eval(x, y))
     if vres > 1e-8 * max(vscale, 1e-300):
@@ -554,10 +556,7 @@ def vertex_set_self_intersection(family: SurfaceFamily, tau, *,
             f"node iteration did not converge: |V| = {vres:.3e} "
             f"against scale {vscale:.3e}"
         )
-    f_star = family.f_at(params)
-    la = LevelAnalyzer(f_star)
-    k_si = float(la.field_f.value(x, y))
-    record = la.classify_vertex((x, y), k_si)
+    k_si, record = _classify_on_level(family, x, y, params)
     return SelfIntersection(point=(x, y), tau=tuple(params), level=k_si,
                             record=record, vertex_residual=float(vres),
                             grad_residual=float(gres), iterations=iterations)
@@ -574,13 +573,6 @@ def two_degenerate_vertex(family: SurfaceFamily, tau, *, free_param: int = 1,
     vertex-set self-intersection up to corrections of higher order in tau,
     so the two solvers cross-validate each other.
     """
-    tau = tuple(float(v) for v in tau)
-    if not 0 <= free_param < family.nparams:
-        raise InputError("free_param out of range")
-    if seed is None:
-        if free_param != 1 or tau[0] == 0.0:
-            raise InputError("no default seed for this configuration; pass one")
-        seed = (0.0, tau[0] / 3.0)
     key = "kappa_chain_3"
     chain = family.cache.get(key)
     if chain is None:
@@ -589,22 +581,17 @@ def two_degenerate_vertex(family: SurfaceFamily, tau, *, free_param: int = 1,
     polys = [chain[1][0], chain[2][0], chain[3][0]]
     x, y, params, iterations = _newton_xyt(polys, tau, free_param, seed, max_iter,
                                            "degenerate-vertex")
-    r = math.hypot(x, y)
-    ps = [p.substitute_params(params) for p in polys]
+    r2 = 2.0 * math.hypot(x, y)
     residuals = []
-    for p in ps:
-        pscale = sum(abs(float(c)) * (2.0 * r) ** (i + j)
-                     for (i, j), c in p.terms.items())
-        residuals.append(abs(p.eval(x, y)) / max(pscale, 1e-300))
+    for p in polys:
+        q = p.substitute_params(params)
+        residuals.append(abs(q.eval(x, y)) / max(q.bound_on_disc(r2), 1e-300))
     if max(residuals) > 1e-8:
         raise NumericError(
             f"degenerate-vertex iteration did not converge: relative "
             f"residuals {residuals}"
         )
-    f_star = family.f_at(params)
-    la = LevelAnalyzer(f_star)
-    k_si = float(la.field_f.value(x, y))
-    record = la.classify_vertex((x, y), k_si)
+    k_si, record = _classify_on_level(family, x, y, params)
     return DegenerateVertexPoint(point=(x, y), tau=tuple(params), level=k_si,
                                  record=record, residuals=tuple(residuals),
                                  iterations=iterations)

@@ -1,13 +1,16 @@
 """Sparse polynomial arithmetic with exact coefficients.
 
-Three layers share one storage convention (exponent tuple -> coefficient,
-zero coefficients never stored):
+``NVarPoly`` is the one sparse ring: a polynomial in n variables stored as
+a dict from exponent tuple to coefficient, zero coefficients never stored.
+Polynomials in the deformation parameters alone are plain ``NVarPoly``
+values.  Two subclasses read variables 0 and 1 as the surface variables
+x and y:
 
-* ``NVarPoly``   polynomial in n named-by-index variables, used for the
-  deformation parameters of a surface family;
-* ``BivarPoly``  polynomial in the surface variables (x, y);
-* ``ParamPoly``  bivariate polynomial whose coefficients are ``NVarPoly``
-  values, i.e. a family of surfaces over a parameter space.
+* ``BivarPoly``  polynomial in (x, y) alone, with float evaluation kernels;
+* ``ParamPoly``  polynomial in (x, y) and n deformation parameters, i.e. a
+  family of surfaces; parameter k is variable 2 + k.
+
+Ring operations return a polynomial of the class of their left operand.
 
 Coefficients stay exact (int / Fraction) as long as every input is exact.
 Operations that introduce irrational data, such as rotation by an arbitrary
@@ -23,7 +26,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Union
+from operator import add
+from typing import Iterable, Mapping, Union
 
 import numpy as np
 
@@ -31,8 +35,7 @@ from .errors import InputError
 
 Scalar = Union[int, float, Fraction]
 
-_X = "x"
-_Y = "y"
+_XY_INDEX = {"x": 0, "y": 1}
 
 
 def _is_scalar(c) -> bool:
@@ -47,6 +50,16 @@ def _coerce_scalar(c) -> Scalar:
     if isinstance(c, (float, np.floating)):
         return float(c)
     raise InputError(f"unsupported coefficient type {type(c).__name__}")
+
+
+def _exact_or_float(v):
+    return v if isinstance(v, (int, Fraction)) else float(v)
+
+
+def _xy_index(var: str) -> int:
+    if var not in _XY_INDEX:
+        raise InputError(f"unknown variable {var!r}")
+    return _XY_INDEX[var]
 
 
 def _add_into(terms: dict, key, coeff) -> None:
@@ -68,11 +81,15 @@ def _scale_terms(terms: dict, s) -> dict:
     return {k: c * s for k, c in terms.items()}
 
 
+def _unit(nvars: int, index: int) -> tuple:
+    return tuple(int(i == index) for i in range(nvars))
+
+
 class NVarPoly:
     """Sparse polynomial in ``nvars`` variables.
 
-    Keys are exponent tuples of length ``nvars``; values are exact scalars,
-    floats, or anything supporting ring arithmetic against them.
+    Keys are exponent tuples of length ``nvars``; values are exact scalars
+    or floats.
     """
 
     __slots__ = ("nvars", "terms")
@@ -87,8 +104,7 @@ class NVarPoly:
                 key = tuple(int(e) for e in exps)
                 if len(key) != nvars or any(e < 0 for e in key):
                     raise InputError(f"bad exponent tuple {exps!r} for {nvars} variables")
-                if not (c == 0):
-                    _add_into(clean, key, c)
+                _add_into(clean, key, _coerce_scalar(c))
         self.terms = clean
 
     # -- constructors -------------------------------------------------
@@ -100,18 +116,22 @@ class NVarPoly:
         p.terms = terms
         return p
 
+    def _with(self, terms: dict) -> "NVarPoly":
+        """A polynomial of this class over the same variables."""
+        return self._raw(self.nvars, terms)
+
+    def _constant(self, c) -> "NVarPoly":
+        return self._with({} if c == 0 else {(0,) * self.nvars: c})
+
     @classmethod
     def constant(cls, nvars: int, c) -> "NVarPoly":
-        if c == 0:
-            return cls._raw(nvars, {})
-        return cls._raw(nvars, {(0,) * nvars: c})
+        return cls._raw(nvars, {} if c == 0 else {(0,) * nvars: c})
 
     @classmethod
     def variable(cls, nvars: int, index: int) -> "NVarPoly":
         if not (0 <= index < nvars):
             raise InputError(f"variable index {index} out of range for {nvars} variables")
-        key = tuple(1 if i == index else 0 for i in range(nvars))
-        return cls._raw(nvars, {key: 1})
+        return cls._raw(nvars, {_unit(nvars, index): 1})
 
     # -- ring operations ----------------------------------------------
 
@@ -120,59 +140,60 @@ class NVarPoly:
             raise InputError("polynomials over different parameter spaces")
 
     def __add__(self, other):
-        if _is_scalar(other):
-            other = NVarPoly.constant(self.nvars, _coerce_scalar(other))
-        if not isinstance(other, NVarPoly):
-            return NotImplemented
-        self._check_same(other)
         out = dict(self.terms)
-        for k, c in other.terms.items():
-            _add_into(out, k, c)
-        return NVarPoly._raw(self.nvars, out)
+        if _is_scalar(other):
+            _add_into(out, (0,) * self.nvars, _coerce_scalar(other))
+        elif isinstance(other, NVarPoly):
+            self._check_same(other)
+            for k, c in other.terms.items():
+                _add_into(out, k, c)
+        else:
+            return NotImplemented
+        return self._with(out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return NVarPoly._raw(self.nvars, {k: -c for k, c in self.terms.items()})
+        return self._with({k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other):
-        return self + (-other if isinstance(other, NVarPoly) else -_coerce_scalar(other))
+        if isinstance(other, NVarPoly) or _is_scalar(other):
+            return self + (-other)
+        return NotImplemented
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
         if _is_scalar(other):
-            return NVarPoly._raw(self.nvars, _scale_terms(self.terms, _coerce_scalar(other)))
+            return self._with(_scale_terms(self.terms, _coerce_scalar(other)))
         if not isinstance(other, NVarPoly):
             return NotImplemented
         self._check_same(other)
         out: dict = {}
         for ka, ca in self.terms.items():
             for kb, cb in other.terms.items():
-                key = tuple(a + b for a, b in zip(ka, kb))
-                _add_into(out, key, ca * cb)
-        return NVarPoly._raw(self.nvars, out)
+                _add_into(out, tuple(map(add, ka, kb)), ca * cb)
+        return self._with(out)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
         if n < 0:
             raise InputError("negative powers are not polynomials")
-        out = NVarPoly.constant(self.nvars, 1)
+        out = self._constant(1)
         base = self
         while n:
             if n & 1:
                 out = out * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return out
 
     def __eq__(self, other):
         if _is_scalar(other):
-            if other == 0:
-                return not self.terms
-            return len(self.terms) == 1 and self.terms.get((0,) * self.nvars) == other
+            return self.terms == self._constant(other).terms
         if not isinstance(other, NVarPoly):
             return NotImplemented
         return self.nvars == other.nvars and self.terms == other.terms
@@ -188,15 +209,13 @@ class NVarPoly:
 
     def total_degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        return max(sum(k) for k in self.terms)
+        return max((sum(k) for k in self.terms), default=-1)
 
     def degree_part(self, d: int) -> "NVarPoly":
         """Terms of total degree exactly ``d``."""
         if d < 0:
             raise InputError("degree must be nonnegative")
-        return NVarPoly._raw(self.nvars, {k: c for k, c in self.terms.items() if sum(k) == d})
+        return self._with({k: c for k, c in self.terms.items() if sum(k) == d})
 
     def constant_term(self):
         return self.terms.get((0,) * self.nvars, 0)
@@ -211,10 +230,10 @@ class NVarPoly:
                 continue
             key = k[:index] + (e - 1,) + k[index + 1 :]
             _add_into(out, key, c * e)
-        return NVarPoly._raw(self.nvars, out)
+        return self._with(out)
 
     def eval(self, values: Iterable) -> Scalar:
-        vals = [v if isinstance(v, (int, Fraction)) else float(v) for v in values]
+        vals = [_exact_or_float(v) for v in values]
         if len(vals) != self.nvars:
             raise InputError(f"expected {self.nvars} parameter values, got {len(vals)}")
         total = 0
@@ -227,22 +246,26 @@ class NVarPoly:
         return total
 
     def substitute(self, mapping: Mapping[int, "NVarPoly | Scalar"]) -> "NVarPoly":
-        """Replace variables by polynomials; unmapped variables persist."""
-        images: dict[int, NVarPoly] = {}
-        for i, v in mapping.items():
+        """Replace variables by polynomials over the same variables, or by
+        scalars; unmapped variables persist."""
+        powers: dict = {}
+        for i in sorted(mapping):
             if not (0 <= i < self.nvars):
                 raise InputError(f"variable index {i} out of range")
-            images[i] = v if isinstance(v, NVarPoly) else NVarPoly.constant(self.nvars, _coerce_scalar(v))
-        out = NVarPoly.constant(self.nvars, 0)
+            v = mapping[i]
+            image = v if isinstance(v, NVarPoly) else self._constant(_coerce_scalar(v))
+            powers[i] = _power_list(image, max((k[i] for k in self.terms), default=0))
+        out: dict = {}
         for k, c in self.terms.items():
-            term = NVarPoly.constant(self.nvars, c)
-            for i, e in enumerate(k):
-                if not e:
-                    continue
-                base = images.get(i, NVarPoly.variable(self.nvars, i))
-                term = term * base**e
-            out = out + term
-        return out
+            factor = None
+            for i, pw in powers.items():
+                if k[i]:
+                    factor = pw[k[i]] if factor is None else factor * pw[k[i]]
+            mono = self._with({tuple(0 if i in powers else e for i, e in enumerate(k)): c})
+            term = mono if factor is None else factor * mono
+            for kk, cc in term.terms.items():
+                _add_into(out, kk, cc)
+        return self._with(out)
 
     def __repr__(self):
         if not self.terms:
@@ -255,6 +278,13 @@ class NVarPoly:
         return "NVarPoly(" + " + ".join(bits) + ")"
 
 
+def _power_list(p: NVarPoly, nmax: int) -> list:
+    powers = [p._constant(1)]
+    for _ in range(nmax):
+        powers.append(powers[-1] * p)
+    return powers
+
+
 def _power_rows(v: np.ndarray, n: int) -> np.ndarray:
     """The (n, len(v)) array of powers v^0 .. v^(n-1), by repeated products."""
     out = np.empty((n, v.size))
@@ -264,121 +294,75 @@ def _power_rows(v: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-class BivarPoly:
+class _PlaneView:
+    """The surface variables x and y as variables 0 and 1 of the ring:
+    what ``BivarPoly`` and ``ParamPoly`` share."""
+
+    __slots__ = ()
+
+    def diff(self, var: str):
+        return NVarPoly.diff(self, _xy_index(var))
+
+    def total_degree(self) -> int:
+        """Degree in x and y; -1 for the zero polynomial."""
+        return max((k[0] + k[1] for k in self.terms), default=-1)
+
+    def homogeneous_part(self, d: int):
+        """Terms of degree exactly ``d`` in x and y."""
+        if d < 0:
+            raise InputError("degree must be nonnegative")
+        return self._with({k: c for k, c in self.terms.items() if k[0] + k[1] == d})
+
+    def rotate(self, theta: float | None = None, *, cos_sin: tuple | None = None):
+        """Substitute the package rotation convention into x and y.
+
+        ``cos_sin`` supplies an exact cosine/sine pair (e.g. Fractions from a
+        Pythagorean triple) and keeps the result exact; otherwise ``theta`` is
+        used with float trigonometry.  Other variables ride along unchanged.
+        """
+        if cos_sin is not None:
+            c, s = cos_sin
+        elif theta is not None:
+            c, s = math.cos(theta), math.sin(theta)
+        else:
+            raise InputError("rotate needs an angle or an exact cosine/sine pair")
+        x = self._with({_unit(self.nvars, 0): 1})
+        y = self._with({_unit(self.nvars, 1): 1})
+        return self.substitute({0: x * c + y * s, 1: x * -s + y * c})
+
+
+class BivarPoly(_PlaneView, NVarPoly):
     """Sparse polynomial in the surface variables (x, y)."""
 
-    __slots__ = ("terms", "_dense_cache")
+    __slots__ = ("_dense_cache",)
 
     def __init__(self, terms: Mapping | None = None):
-        clean: dict = {}
-        if terms:
-            for exps, c in terms.items():
-                i, j = exps
-                i, j = int(i), int(j)
-                if i < 0 or j < 0:
-                    raise InputError(f"negative exponent in {exps!r}")
-                if not (c == 0):
-                    _add_into(clean, (i, j), _coerce_scalar(c))
-        self.terms = clean
-        self._dense_cache = None
-
-    @classmethod
-    def _raw(cls, terms: dict) -> "BivarPoly":
-        p = object.__new__(cls)
-        p.terms = terms
-        p._dense_cache = None
-        return p
+        super().__init__(2, terms)
 
     @classmethod
     def constant(cls, c) -> "BivarPoly":
         c = _coerce_scalar(c)
-        return cls._raw({} if c == 0 else {(0, 0): c})
+        return cls._raw(2, {} if c == 0 else {(0, 0): c})
 
     @classmethod
     def variable(cls, name: str) -> "BivarPoly":
-        if name == _X:
-            return cls._raw({(1, 0): 1})
-        if name == _Y:
-            return cls._raw({(0, 1): 1})
-        raise InputError(f"unknown variable {name!r}")
-
-    # -- ring operations ----------------------------------------------
-
-    def __add__(self, other):
-        if _is_scalar(other):
-            other = BivarPoly.constant(other)
-        if not isinstance(other, BivarPoly):
-            return NotImplemented
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            _add_into(out, k, c)
-        return BivarPoly._raw(out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return BivarPoly._raw({k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other):
-        if _is_scalar(other):
-            return self + (-_coerce_scalar(other))
-        if not isinstance(other, BivarPoly):
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
+        return cls._raw(2, {_unit(2, _xy_index(name)): 1})
 
     def __mul__(self, other):
+        # two-index keys: vertex_poly of a float surface is mostly this loop
         if _is_scalar(other):
-            return BivarPoly._raw(_scale_terms(self.terms, _coerce_scalar(other)))
+            return self._with(_scale_terms(self.terms, _coerce_scalar(other)))
         if not isinstance(other, BivarPoly):
             return NotImplemented
         out: dict = {}
         for (ia, ja), ca in self.terms.items():
             for (ib, jb), cb in other.terms.items():
                 _add_into(out, (ia + ib, ja + jb), ca * cb)
-        return BivarPoly._raw(out)
+        return self._with(out)
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int):
-        if n < 0:
-            raise InputError("negative powers are not polynomials")
-        out = BivarPoly.constant(1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
-    def __eq__(self, other):
-        if _is_scalar(other):
-            return BivarPoly.constant(other).terms == self.terms
-        if not isinstance(other, BivarPoly):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
     # -- queries -------------------------------------------------------
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def total_degree(self) -> int:
-        if not self.terms:
-            return -1
-        return max(i + j for i, j in self.terms)
-
-    def homogeneous_part(self, d: int) -> "BivarPoly":
-        if d < 0:
-            raise InputError("degree must be nonnegative")
-        return BivarPoly._raw({k: c for k, c in self.terms.items() if k[0] + k[1] == d})
 
     def coeff(self, i: int, j: int):
         return self.terms.get((i, j), 0)
@@ -386,37 +370,25 @@ class BivarPoly:
     def is_exact(self) -> bool:
         return all(isinstance(c, (int, Fraction)) for c in self.terms.values())
 
-    # -- calculus -------------------------------------------------------
-
-    def diff(self, var: str) -> "BivarPoly":
-        if var == _X:
-            idx = 0
-        elif var == _Y:
-            idx = 1
-        else:
-            raise InputError(f"unknown variable {var!r}")
-        out: dict = {}
-        for (i, j), c in self.terms.items():
-            e = (i, j)[idx]
-            if e == 0:
-                continue
-            key = (i - 1, j) if idx == 0 else (i, j - 1)
-            _add_into(out, key, c * e)
-        return BivarPoly._raw(out)
+    def bound_on_disc(self, radius: float) -> float:
+        """sum |c| radius^(i+j): a bound on |p| over the disc of that radius,
+        the scale residuals of p are measured against."""
+        return sum(abs(float(c)) * radius ** (i + j) for (i, j), c in self.terms.items())
 
     # -- evaluation ------------------------------------------------------
 
     def eval(self, x, y):
-        x = x if isinstance(x, (int, Fraction)) else float(x)
-        y = y if isinstance(y, (int, Fraction)) else float(y)
+        x = _exact_or_float(x)
+        y = _exact_or_float(y)
         total = 0
         for (i, j), c in self.terms.items():
             total = total + c * x**i * y**j
         return total
 
     def _dense_coeffs(self) -> np.ndarray:
-        """Float coefficients as a dense matrix C[i, j] of x^i y^j, cached."""
-        c = self._dense_cache
+        """Float coefficients as a dense matrix C[i, j] of x^i y^j, cached
+        (the slot stays unset until the first call)."""
+        c = getattr(self, "_dense_cache", None)
         if c is None:
             nx = max((i for i, _ in self.terms), default=0) + 1
             ny = max((j for _, j in self.terms), default=0) + 1
@@ -461,39 +433,6 @@ class BivarPoly:
         c = self._dense_coeffs()
         return _power_rows(xs, c.shape[0]).T @ (c @ _power_rows(ys, c.shape[1]))
 
-    # -- geometry ----------------------------------------------------------
-
-    def rotate(self, theta: float | None = None, *, cos_sin: tuple | None = None) -> "BivarPoly":
-        """Substitute the package rotation convention into the arguments.
-
-        ``cos_sin`` supplies an exact cosine/sine pair (e.g. Fractions from a
-        Pythagorean triple) and keeps the result exact; otherwise ``theta`` is
-        used with float trigonometry.
-        """
-        if cos_sin is not None:
-            c, s = cos_sin
-        elif theta is not None:
-            c, s = math.cos(theta), math.sin(theta)
-        else:
-            raise InputError("rotate needs an angle or an exact cosine/sine pair")
-        xi = BivarPoly._raw({k: v for k, v in (((1, 0), c), ((0, 1), s)) if not (v == 0)})
-        eta = BivarPoly._raw({k: v for k, v in (((1, 0), -s), ((0, 1), c)) if not (v == 0)})
-        xi_p = _power_list(xi, max((k[0] for k in self.terms), default=0))
-        eta_p = _power_list(eta, max((k[1] for k in self.terms), default=0))
-        out = BivarPoly.constant(0)
-        for (i, j), coeff in self.terms.items():
-            out = out + coeff * (xi_p[i] * eta_p[j])
-        return out
-
-    def substitute(self, px: "BivarPoly", py: "BivarPoly") -> "BivarPoly":
-        """General substitution x -> px, y -> py."""
-        xi_p = _power_list(px, max((k[0] for k in self.terms), default=0))
-        eta_p = _power_list(py, max((k[1] for k in self.terms), default=0))
-        out = BivarPoly.constant(0)
-        for (i, j), coeff in self.terms.items():
-            out = out + coeff * (xi_p[i] * eta_p[j])
-        return out
-
     def __repr__(self):
         if not self.terms:
             return "BivarPoly(0)"
@@ -509,277 +448,111 @@ class BivarPoly:
         return "BivarPoly(" + " + ".join(bits) + ")"
 
 
-def _power_list(p: BivarPoly, nmax: int) -> list:
-    powers = [BivarPoly.constant(1)]
-    for _ in range(nmax):
-        powers.append(powers[-1] * p)
-    return powers
+class ParamPoly(_PlaneView, NVarPoly):
+    """Polynomial in (x, y) and ``nparams`` deformation parameters.
 
+    Keys are flat exponent tuples (i, j, e_1, ..., e_n) of x^i y^j times the
+    parameter monomial.  The constructor also takes a bivariate layout
+    {(i, j): NVarPoly over the parameters, or scalar}.
+    """
 
-class ParamPoly:
-    """Bivariate polynomial whose coefficients are polynomials in n parameters."""
+    __slots__ = ("_float_cache",)
 
-    __slots__ = ("nparams", "terms")
+    # bench/layers.py times __mul__ per class, through this class's own binding
+    __mul__ = __rmul__ = NVarPoly.__mul__
 
     def __init__(self, nparams: int, terms: Mapping | None = None):
-        self.nparams = nparams
-        clean: dict = {}
-        if terms:
-            for exps, c in terms.items():
-                i, j = int(exps[0]), int(exps[1])
-                if i < 0 or j < 0:
-                    raise InputError(f"negative exponent in {exps!r}")
-                cp = c if isinstance(c, NVarPoly) else NVarPoly.constant(nparams, _coerce_scalar(c))
-                if cp.nvars != nparams:
+        flat: dict = {}
+        for exps, c in (terms or {}).items():
+            exps = tuple(exps)
+            if isinstance(c, NVarPoly):
+                if c.nvars != nparams:
                     raise InputError("coefficient over wrong parameter space")
-                if not cp.is_zero:
-                    cur = clean.get((i, j))
-                    clean[(i, j)] = cp if cur is None else cur + cp
-        self.terms = {k: v for k, v in clean.items() if not v.is_zero}
+                for e, ce in c.terms.items():
+                    _add_into(flat, exps + e, ce)
+            else:
+                _add_into(flat, exps if len(exps) == 2 + nparams else exps + (0,) * nparams, c)
+        super().__init__(2 + nparams, flat)
 
-    @classmethod
-    def _raw(cls, nparams: int, terms: dict) -> "ParamPoly":
-        p = object.__new__(cls)
-        p.nparams = nparams
-        p.terms = terms
-        return p
+    @property
+    def nparams(self) -> int:
+        return self.nvars - 2
 
     @classmethod
     def from_bivar(cls, p: BivarPoly, nparams: int) -> "ParamPoly":
-        return cls._raw(
-            nparams, {k: NVarPoly.constant(nparams, c) for k, c in p.terms.items()}
-        )
+        pad = (0,) * nparams
+        return cls._raw(2 + nparams, {k + pad: c for k, c in p.terms.items()})
 
     @classmethod
     def constant(cls, nparams: int, c) -> "ParamPoly":
-        cp = c if isinstance(c, NVarPoly) else NVarPoly.constant(nparams, _coerce_scalar(c))
-        return cls._raw(nparams, {} if cp.is_zero else {(0, 0): cp})
+        """The family constant in x and y; ``c`` is a scalar or an
+        ``NVarPoly`` over the parameters."""
+        return cls(nparams, {(0, 0): c})
 
     @classmethod
     def variable(cls, nparams: int, name: str) -> "ParamPoly":
-        key = (1, 0) if name == _X else (0, 1) if name == _Y else None
-        if key is None:
-            raise InputError(f"unknown variable {name!r}")
-        return cls._raw(nparams, {key: NVarPoly.constant(nparams, 1)})
+        return cls._raw(2 + nparams, {_unit(2 + nparams, _xy_index(name)): 1})
 
     @classmethod
     def parameter(cls, nparams: int, index: int) -> "ParamPoly":
-        return cls._raw(nparams, {(0, 0): NVarPoly.variable(nparams, index)})
+        if not (0 <= index < nparams):
+            raise InputError(f"parameter index {index} out of range for {nparams} parameters")
+        return cls._raw(2 + nparams, {_unit(2 + nparams, 2 + index): 1})
 
-    def _coerce(self, other) -> "ParamPoly | None":
-        if isinstance(other, ParamPoly):
-            if other.nparams != self.nparams:
-                raise InputError("polynomials over different parameter spaces")
-            return other
-        if isinstance(other, NVarPoly):
-            return ParamPoly.constant(self.nparams, other)
-        if _is_scalar(other):
-            return ParamPoly.constant(self.nparams, _coerce_scalar(other))
-        if isinstance(other, BivarPoly):
-            return ParamPoly.from_bivar(other, self.nparams)
-        return None
-
-    # -- ring operations -------------------------------------------------
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        out = dict(self.terms)
-        for k, c in o.terms.items():
-            cur = out.get(k)
-            c2 = c if cur is None else cur + c
-            if c2.is_zero:
-                out.pop(k, None)
-            else:
-                out[k] = c2
-        return ParamPoly._raw(self.nparams, out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return ParamPoly._raw(self.nparams, {k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if _is_scalar(other) or isinstance(other, NVarPoly):
-            s = other if isinstance(other, NVarPoly) else _coerce_scalar(other)
-            out = {}
-            for k, c in self.terms.items():
-                c2 = c * s
-                if not c2.is_zero:
-                    out[k] = c2
-            return ParamPoly._raw(self.nparams, out)
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        out: dict = {}
-        for (ia, ja), ca in self.terms.items():
-            for (ib, jb), cb in o.terms.items():
-                key = (ia + ib, ja + jb)
-                prod = ca * cb
-                cur = out.get(key)
-                acc = prod if cur is None else cur + prod
-                if acc.is_zero:
-                    out.pop(key, None)
-                else:
-                    out[key] = acc
-        return ParamPoly._raw(self.nparams, out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int):
-        if n < 0:
-            raise InputError("negative powers are not polynomials")
-        out = ParamPoly.constant(self.nparams, 1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
-    def __eq__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self.terms == o.terms
-
-    def __hash__(self):
-        return hash((self.nparams, frozenset(self.terms.items())))
-
-    # -- queries ----------------------------------------------------------
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def total_degree(self) -> int:
-        if not self.terms:
-            return -1
-        return max(i + j for i, j in self.terms)
-
-    def homogeneous_part(self, d: int) -> "ParamPoly":
-        if d < 0:
-            raise InputError("degree must be nonnegative")
-        return ParamPoly._raw(
-            self.nparams, {k: c for k, c in self.terms.items() if k[0] + k[1] == d}
-        )
+    # -- the bivariate view -------------------------------------------------
 
     def coeff(self, i: int, j: int) -> NVarPoly:
-        return self.terms.get((i, j), NVarPoly.constant(self.nparams, 0))
+        """The coefficient of x^i y^j, a polynomial in the parameters."""
+        return NVarPoly._raw(self.nparams, {
+            k[2:]: c for k, c in self.terms.items() if k[0] == i and k[1] == j})
 
     def param_degree_part(self, d: int) -> "ParamPoly":
-        """Keep only the parameter-degree-``d`` slice of every coefficient."""
-        out = {}
-        for k, c in self.terms.items():
-            part = c.degree_part(d)
-            if not part.is_zero:
-                out[k] = part
-        return ParamPoly._raw(self.nparams, out)
+        """Keep only the terms of degree ``d`` in the parameters."""
+        return self._with({k: c for k, c in self.terms.items() if sum(k[2:]) == d})
 
-    # -- calculus and substitution ------------------------------------------
-
-    def diff(self, var: str) -> "ParamPoly":
-        if var == _X:
-            idx = 0
-        elif var == _Y:
-            idx = 1
-        else:
-            raise InputError(f"unknown variable {var!r}")
-        out: dict = {}
-        for (i, j), c in self.terms.items():
-            e = (i, j)[idx]
-            if e == 0:
-                continue
-            key = (i - 1, j) if idx == 0 else (i, j - 1)
-            c2 = c * e
-            cur = out.get(key)
-            acc = c2 if cur is None else cur + c2
-            if not acc.is_zero:
-                out[key] = acc
-        return ParamPoly._raw(self.nparams, out)
+    def diff_param(self, index: int) -> "ParamPoly":
+        """Derivative with respect to parameter ``index``."""
+        if not (0 <= index < self.nparams):
+            raise InputError(f"parameter index {index} out of range for {self.nparams} parameters")
+        return NVarPoly.diff(self, 2 + index)
 
     def substitute_params(self, tau: Iterable) -> BivarPoly:
-        """Evaluate every coefficient at the parameter point ``tau``.
+        """Evaluate at the parameter point ``tau``.
 
         Exact (int / Fraction) parameter values give exact coefficients.
         When any entry of ``tau`` is inexact, every coefficient comes out a
         float, parameter-free ones included, so arithmetic on the result
         never mixes Fraction and float.
         """
-        vals = list(tau)
+        vals = [_exact_or_float(v) for v in tau]
         if len(vals) != self.nparams:
             raise InputError(f"expected {self.nparams} parameter values, got {len(vals)}")
-        inexact = any(not isinstance(v, (int, Fraction)) for v in vals)
+        if all(isinstance(v, (int, Fraction)) for v in vals):
+            terms = [(k[:2], k[2:], c) for k, c in self.terms.items()]
+        else:
+            terms = self._float_terms()
         out: dict = {}
-        for k, c in self.terms.items():
-            v = c.eval(vals)
-            if inexact:
-                v = float(v)
-            if not (v == 0):
-                out[k] = v
-        return BivarPoly._raw(out)
+        for xy, es, c in terms:
+            term = c
+            for v, e in zip(vals, es):
+                if e:
+                    term = term * v**e
+            out[xy] = out.get(xy, 0) + term
+        return BivarPoly._raw(2, {k: v for k, v in out.items() if not (v == 0)})
+
+    def _float_terms(self) -> list:
+        """(x/y exponents, parameter exponents, float coefficient) of every
+        term, cached (the slot stays unset until the first call).  A float
+        product of an exact coefficient rounds it to float first, so float
+        substitution gives the same bits through this list."""
+        t = getattr(self, "_float_cache", None)
+        if t is None:
+            t = self._float_cache = [(k[:2], k[2:], float(c)) for k, c in self.terms.items()]
+        return t
 
     def at_zero(self) -> BivarPoly:
-        """The member of the family at parameter 0 (constant coefficient terms)."""
-        out = {}
-        for k, c in self.terms.items():
-            v = c.constant_term()
-            if not (v == 0):
-                out[k] = v
-        return BivarPoly._raw(out)
-
-    def map_coeffs(self, fn: Callable[[NVarPoly], NVarPoly]) -> "ParamPoly":
-        out = {}
-        for k, c in self.terms.items():
-            c2 = fn(c)
-            if not c2.is_zero:
-                out[k] = c2
-        return ParamPoly._raw(self.nparams, out)
-
-    def substitute_param_polys(self, mapping: Mapping[int, NVarPoly]) -> "ParamPoly":
-        """Reparametrize: replace each parameter by a polynomial in new parameters."""
-        return self.map_coeffs(lambda c: c.substitute(mapping))
-
-    def rotate(self, theta: float | None = None, *, cos_sin: tuple | None = None) -> "ParamPoly":
-        """Spatial rotation; parameter coefficients ride along unchanged."""
-        if cos_sin is not None:
-            c, s = cos_sin
-        elif theta is not None:
-            c, s = math.cos(theta), math.sin(theta)
-        else:
-            raise InputError("rotate needs an angle or an exact cosine/sine pair")
-        def _lin(cx, cy):
-            terms = {}
-            for key, v in (((1, 0), cx), ((0, 1), cy)):
-                if not (v == 0):
-                    terms[key] = NVarPoly.constant(self.nparams, v)
-            return ParamPoly._raw(self.nparams, terms)
-
-        xi = _lin(c, s)
-        eta = _lin(-s, c)
-        ximax = max((k[0] for k in self.terms), default=0)
-        etamax = max((k[1] for k in self.terms), default=0)
-        xi_p = [ParamPoly.constant(self.nparams, 1)]
-        for _ in range(ximax):
-            xi_p.append(xi_p[-1] * xi)
-        eta_p = [ParamPoly.constant(self.nparams, 1)]
-        for _ in range(etamax):
-            eta_p.append(eta_p[-1] * eta)
-        out = ParamPoly.constant(self.nparams, 0)
-        for (i, j), coeff in self.terms.items():
-            out = out + (xi_p[i] * eta_p[j]) * coeff
-        return out
+        """The member of the family at parameter 0 (parameter-free terms)."""
+        return BivarPoly._raw(2, {k[:2]: c for k, c in self.terms.items() if not any(k[2:])})
 
     def __repr__(self):
         return f"ParamPoly({len(self.terms)} terms, {self.nparams} params)"
@@ -788,54 +561,25 @@ class ParamPoly:
 # -- comparison helpers -------------------------------------------------------
 
 
-def bivar_max_coeff_diff(a: BivarPoly, b: BivarPoly) -> float:
-    """Largest absolute coefficient difference between two bivariate polynomials."""
-    keys = set(a.terms) | set(b.terms)
-    return max((abs(float(a.coeff(*k) - b.coeff(*k))) for k in keys), default=0.0)
+def max_coeff_diff(a: NVarPoly, b: NVarPoly) -> float:
+    """Largest absolute coefficient difference between two polynomials."""
+    a._check_same(b)
+    keys = a.terms.keys() | b.terms.keys()
+    return max((abs(float(a.terms.get(k, 0) - b.terms.get(k, 0))) for k in keys), default=0.0)
 
 
-def param_max_coeff_diff(a: ParamPoly, b: ParamPoly) -> float:
-    """Largest absolute coefficient difference, descending into parameter terms."""
-    if a.nparams != b.nparams:
-        raise InputError("polynomials over different parameter spaces")
-    keys = set(a.terms) | set(b.terms)
-    worst = 0.0
-    zero = NVarPoly.constant(a.nparams, 0)
-    for k in keys:
-        ca = a.terms.get(k, zero)
-        cb = b.terms.get(k, zero)
-        pk = set(ca.terms) | set(cb.terms)
-        for e in pk:
-            d = abs(float(ca.terms.get(e, 0) - cb.terms.get(e, 0)))
-            if d > worst:
-                worst = d
-    return worst
-
-
-def fit_scalar_ratio(actual, model):
+def fit_scalar_ratio(actual: NVarPoly, model: NVarPoly):
     """Fit ``actual ~ ratio * model`` coefficientwise and report the defect.
 
-    Works on two BivarPoly or two ParamPoly values.  The ratio is taken at
-    the model coefficient of largest magnitude, so it is exact whenever both
-    polynomials are exact; the defect is the largest absolute coefficient
-    residual, as a float.
+    The ratio is taken at the model coefficient of largest magnitude, so it
+    is exact whenever both polynomials are exact; the defect is the largest
+    absolute coefficient residual, as a float.
     """
-    pairs = []
-    if isinstance(actual, BivarPoly) and isinstance(model, BivarPoly):
-        keys = set(actual.terms) | set(model.terms)
-        for k in keys:
-            pairs.append((actual.coeff(*k), model.coeff(*k)))
-    elif isinstance(actual, ParamPoly) and isinstance(model, ParamPoly):
-        if actual.nparams != model.nparams:
-            raise InputError("polynomials over different parameter spaces")
-        zero = NVarPoly.constant(actual.nparams, 0)
-        for k in set(actual.terms) | set(model.terms):
-            ca = actual.terms.get(k, zero)
-            cb = model.terms.get(k, zero)
-            for e in set(ca.terms) | set(cb.terms):
-                pairs.append((ca.terms.get(e, 0), cb.terms.get(e, 0)))
-    else:
-        raise InputError("fit_scalar_ratio needs two polynomials of the same kind")
+    if not (isinstance(actual, NVarPoly) and isinstance(model, NVarPoly)):
+        raise InputError("fit_scalar_ratio needs two polynomials")
+    actual._check_same(model)
+    pairs = [(actual.terms.get(k, 0), model.terms.get(k, 0))
+             for k in set(actual.terms) | set(model.terms)]
     ref = None
     for a, m in pairs:
         if m != 0 and (ref is None or abs(float(m)) > abs(float(ref[1]))):

@@ -38,12 +38,11 @@ class SurfaceFamily:
                  origin_normalized: bool = True):
         if not isinstance(f, ParamPoly):
             raise InputError("a surface family is built from a ParamPoly")
-        for key in ((0, 0), (1, 0), (0, 1)):
-            if key in f.terms:
-                raise InputError(
-                    "constant and linear terms of the height function must vanish "
-                    "identically over the parameter space"
-                )
+        if any(k[0] + k[1] < 2 for k in f.terms):
+            raise InputError(
+                "constant and linear terms of the height function must vanish "
+                "identically over the parameter space"
+            )
         if param_names is not None and len(param_names) != f.nparams:
             raise InputError("one name per parameter required")
         self.f = f
@@ -141,46 +140,23 @@ def _normal_form_gap(cubic: BivarPoly, theta: float) -> float:
     return float(r.coeff(3, 0) - r.coeff(1, 2))
 
 
-def normal_form_rotation(s: SurfaceFamily, *, tol: float = NORMAL_FORM_TOL,
-                         max_iter: int = 200) -> NormalFormRotation:
+def normal_form_rotation(s: SurfaceFamily, *, tol: float = NORMAL_FORM_TOL) -> NormalFormRotation:
     """Rotate the family so the cubic carries equal x^3 and x y^2 coefficients.
 
     The gap coeff(x^3) - coeff(x y^2) varies with the rotation angle as a pure
-    third harmonic, so a sign change exists in every interval of length pi/3;
-    scalar bisection then pins the root.  Identity is returned when the cubic
-    is already in normal form.
+    third harmonic, gap(t) = g0 cos 3t + g1 sin 3t with g0 = gap(0) and
+    g1 = gap(pi/6), so its first root in [0, pi/3) is
+    atan2(-g0, g1) / 3 mod pi/3.  Identity is returned when the cubic is
+    already in normal form.
     """
     cubic = s.cubic_part_at_zero()
     if cubic.is_zero or not genericity_check(cubic):
         raise GenericityError("cubic part is not generic; no normal form rotation")
-    if abs(_normal_form_gap(cubic, 0.0)) <= tol:
+    g0 = _normal_form_gap(cubic, 0.0)
+    if abs(g0) <= tol:
         return NormalFormRotation(theta=0.0, family=s)
-    # bracket a sign change of the gap over one third-harmonic period
-    n_scan = 24
-    thetas = [k * (math.pi / 3) / n_scan for k in range(n_scan + 1)]
-    vals = [_normal_form_gap(cubic, t) for t in thetas]
-    lo = hi = None
-    for a, b, va, vb in zip(thetas, thetas[1:], vals, vals[1:]):
-        if va == 0.0:
-            lo = hi = a
-            break
-        if va * vb < 0:
-            lo, hi = a, b
-            break
-    if lo is None:
-        raise NumericError("could not bracket the normal-form rotation angle")
-    theta = lo
-    for _ in range(max_iter):
-        if hi - lo < 1e-15:
-            break
-        theta = 0.5 * (lo + hi)
-        v = _normal_form_gap(cubic, theta)
-        if abs(v) <= tol * 1e-3:
-            break
-        if v * _normal_form_gap(cubic, lo) < 0:
-            hi = theta
-        else:
-            lo = theta
+    g1 = _normal_form_gap(cubic, math.pi / 6)
+    theta = (math.atan2(-g0, g1) / 3) % (math.pi / 3)
     if abs(_normal_form_gap(cubic, theta)) > tol:
         raise NumericError("normal-form rotation did not converge within tolerance")
     rotated = SurfaceFamily(s.f.rotate(theta), param_names=s.param_names,

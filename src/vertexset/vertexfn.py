@@ -20,14 +20,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import InputError, NearCriticalPointError
-from .poly import (
-    BivarPoly,
-    NVarPoly,
-    ParamPoly,
-    bivar_max_coeff_diff,
-    fit_scalar_ratio,
-    param_max_coeff_diff,
-)
+from .poly import BivarPoly, ParamPoly, fit_scalar_ratio, max_coeff_diff
 from .surface import SurfaceFamily
 
 # Calibration of V against the curvature route, frozen from
@@ -259,16 +252,15 @@ def hexagonal_symmetry_defect(s: SurfaceFamily, *, theta: float | None = None) -
     jet4 = v.param_degree_part(1).homogeneous_part(4)
     jet5 = v.at_zero().homogeneous_part(5)
     c2, s2 = math.cos(2 * theta), math.sin(2 * theta)
-    lam = NVarPoly.variable(2, 0)
-    mu = NVarPoly.variable(2, 1)
-    rot4 = jet4.rotate(theta).substitute_param_polys({
-        0: lam * c2 + mu * s2,
-        1: -(lam * s2) + mu * c2,
+    lam = ParamPoly.parameter(2, 0)
+    mu = ParamPoly.parameter(2, 1)
+    rot4 = jet4.rotate(theta).substitute({
+        2: lam * c2 + mu * s2,
+        3: -(lam * s2) + mu * c2,
     })
     rot5 = jet5.rotate(theta)
-    scale4 = max((max(abs(float(c)) for c in nv.terms.values())
-                  for nv in jet4.terms.values() if not nv.is_zero), default=1.0)
+    scale4 = max((abs(float(c)) for c in jet4.terms.values()), default=1.0)
     scale5 = max((abs(float(c)) for c in jet5.terms.values()), default=1.0)
-    d4 = param_max_coeff_diff(rot4, jet4) / max(scale4, 1e-300)
-    d5 = bivar_max_coeff_diff(rot5, jet5) / max(scale5, 1e-300)
+    d4 = max_coeff_diff(rot4, jet4) / max(scale4, 1e-300)
+    d5 = max_coeff_diff(rot5, jet5) / max(scale5, 1e-300)
     return max(d4, d5)

@@ -146,8 +146,7 @@ class LevelAnalyzer:
     def _vertex_scale(self, radius: float) -> float:
         s = self._vertex_scale_cache.get(radius)
         if s is None:
-            s = sum(abs(float(c)) * radius ** (i + j)
-                    for (i, j), c in self.vpoly.terms.items())
+            s = self.vpoly.bound_on_disc(radius)
             self._vertex_scale_cache[radius] = s
         return s
 

@@ -77,7 +77,7 @@ class TestParseFamily:
             3 0  3/4
         """)
         cfg = parse_config(text, "trace-vertex-set")
-        coeff = cfg.family.f.terms[(3, 0)]
+        coeff = cfg.family.f.coeff(3, 0)
         assert coeff.terms == {(): Fraction(3, 4)}
 
     def test_repeated_monomial_accumulates(self):

@@ -39,9 +39,6 @@ shape_pairs = st.one_of(
     st.tuples(sizes, sizes).map(lambda mn: ((), mn)),
 )
 
-SETTINGS = settings(max_examples=200, deadline=None, database=None,
-                    derandomize=True)
-
 
 def exact_and_scale(p: BivarPoly, x: float, y: float):
     exact_p = BivarPoly({k: Fraction(c) for k, c in p.terms.items()})
@@ -51,7 +48,7 @@ def exact_and_scale(p: BivarPoly, x: float, y: float):
     return exact_p.eval(fx, fy), scale
 
 
-@SETTINGS
+@settings(max_examples=200)
 @given(polynomials, shape_pairs, st.integers(0, 2 ** 32 - 1))
 def test_eval_grid_matches_exact(p, shapes, seed):
     rng = np.random.default_rng(seed)
@@ -77,7 +74,7 @@ def test_zero_polynomial(sx, sy):
 axis_lengths = st.integers(1, 6)
 
 
-@SETTINGS
+@settings(max_examples=200)
 @given(polynomials, axis_lengths, axis_lengths, st.integers(0, 2 ** 32 - 1))
 def test_eval_lattice_matches_exact(p, nx, ny, seed):
     rng = np.random.default_rng(seed)

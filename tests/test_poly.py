@@ -5,11 +5,7 @@ import numpy as np
 import pytest
 
 from vertexset import BivarPoly, InputError, NVarPoly, ParamPoly
-from vertexset.poly import (
-    bivar_max_coeff_diff,
-    fit_scalar_ratio,
-    param_max_coeff_diff,
-)
+from vertexset.poly import fit_scalar_ratio, max_coeff_diff
 
 
 def random_bivar(rng, nterms=6, maxdeg=5, exact=True):
@@ -103,7 +99,7 @@ def test_rotation_float_roundtrip():
     p = random_bivar(rng, exact=False)
     t = 0.7342
     q = p.rotate(t).rotate(-t)
-    assert bivar_max_coeff_diff(p, q) < 1e-12
+    assert max_coeff_diff(p, q) < 1e-12
 
 
 def test_rotation_preserves_values():
@@ -170,7 +166,7 @@ def test_param_degree_parts_sum():
     total = ParamPoly.constant(2, 0)
     for d in range(3):
         total = total + f.param_degree_part(d)
-    assert param_max_coeff_diff(total, f) == 0.0
+    assert max_coeff_diff(total, f) == 0.0
 
 
 def test_param_poly_diff_interleaves():

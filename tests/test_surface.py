@@ -73,14 +73,18 @@ def test_normal_form_identity_when_already_normal():
     assert nf.family is s
 
 
-def test_normal_form_recovers_rotated_family():
+@pytest.mark.parametrize("angle", [
+    0.4, 1e-9, 0.9, math.pi / 6, 2.5, math.pi / 3 - 5e-10, math.pi / 3 + 5e-10,
+])
+def test_normal_form_recovers_rotated_family(angle):
     s = make_canonical_family(Fraction(1, 2), -1, 3)
-    rotated = SurfaceFamily(s.f.rotate(0.4), param_names=s.param_names)
+    rotated = SurfaceFamily(s.f.rotate(angle), param_names=s.param_names)
     nf = normal_form_rotation(rotated)
+    assert 0.0 <= nf.theta < math.pi / 3
     cubic = nf.family.cubic_part_at_zero()
     assert abs(float(cubic.coeff(3, 0) - cubic.coeff(1, 2))) < 1e-10
-    # the recovered angle is 0.4 modulo the third-harmonic period
-    residual = math.fmod(nf.theta + 0.4, math.pi / 3)
+    # the recovered angle is -angle modulo the third-harmonic period
+    residual = math.fmod(nf.theta + angle, math.pi / 3)
     assert min(abs(residual), abs(residual - math.pi / 3)) < 1e-8
 
 

@@ -194,14 +194,7 @@ def _reduce_root3(p: NVarPoly) -> NVarPoly:
 
 
 def _param_jet_to_5var(pp) -> NVarPoly:
-    out = NVarPoly.constant(5, 0)
-    x = NVarPoly.variable(5, 0)
-    y = NVarPoly.variable(5, 1)
-    for (i, j), nv in pp.terms.items():
-        lifted = NVarPoly(5, {(0, 0, kl, km, 0): c
-                              for (kl, km), c in nv.terms.items()})
-        out = out + lifted * x ** i * y ** j
-    return out
+    return NVarPoly(5, {k + (0,): c for k, c in pp.terms.items()})
 
 
 def test_hexagonal_symmetry_exact():
@@ -242,7 +235,7 @@ def test_float_substitution_matches_mixed_route(abc, chain_bit_identical):
     f = fam.f_at(tau)
     assert all(type(c) is float for c in f.terms.values())
     # the mixed route keeps the parameter-free coefficients exact
-    mixed = BivarPoly({k: c.eval(tau) for k, c in fam.f.terms.items()})
+    mixed = BivarPoly({k[:2]: fam.f.coeff(*k[:2]).eval(tau) for k in fam.f.terms})
     assert not all(type(c) is float for c in mixed.terms.values())
     assert f == mixed
     assert vertex_poly(f) == vertex_poly(mixed)
