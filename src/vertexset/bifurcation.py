@@ -5,7 +5,8 @@ a discriminant consisting of three curves tangent to the lines mu = 0 and
 mu = +-sqrt(3) lam, the pairing of the vertex-set branches changes.  This
 module measures that picture: discriminant angles by bisection on the
 pairing label, the transition-level field k*(tau), fixed-level sections of
-the degenerate-vertex locus (closed curves with six cusps), the exact
+the degenerate-vertex locus (closed curves with six cusps, solved ray by
+ray for k*(r u) = k on the folds of f on the vertex set), the exact
 reference parametrization those sections are compared against, and the
 self-intersection point of a vertex set on the discriminant.
 
@@ -36,6 +37,8 @@ from .vertices import LevelAnalyzer
 
 WORK_RADIUS = 0.1
 WORK_RESOLUTION = 384
+# k* at |tau| = r is sought between these multiples of r^2
+KSTAR_BRACKET = (0.02, 2.0)
 
 
 # -- result containers ---------------------------------------------------------
@@ -279,7 +282,7 @@ def pairing_flip_1param(family: SurfaceFamily, theta_deg: float,
 
 def kstar_field(family: SurfaceFamily, taus, *, resolution: int = 256,
                 rel_tol: float = 1e-4, margin_deg: float = 5.0,
-                bracket: tuple = (0.02, 2.0)) -> ScanResult:
+                bracket: tuple = KSTAR_BRACKET) -> ScanResult:
     """Transition level k* at each parameter sample, with k*/r^2 diagnostics.
 
     Samples must avoid the discriminant tangent directions by
@@ -303,12 +306,11 @@ def kstar_field(family: SurfaceFamily, taus, *, resolution: int = 256,
     for t in taus:
         r = math.hypot(*t)
         theta = math.degrees(math.atan2(t[1], t[0])) % 360.0
-        tol = {"resolution": resolution, "rel_tol": rel_tol,
-               "bracket": (bracket[0] * r * r, bracket[1] * r * r)}
+        k_range = (bracket[0] * r * r, bracket[1] * r * r)
+        tol = {"resolution": resolution, "rel_tol": rel_tol, "bracket": k_range}
         try:
-            la = LevelAnalyzer(family.f_at(t))
-            res = la.count_transition(bracket[0] * r * r, bracket[1] * r * r,
-                                      resolution=resolution, rel_tol=rel_tol)
+            res = LevelAnalyzer(family.f_at(t)).count_transition(
+                *k_range, resolution=resolution, rel_tol=rel_tol)
             q = res.kstar / (r * r)
             samples.append(ScanSample(tau=t, kstar=res.kstar, q_value=q,
                                       merge_point=res.merge_point,
@@ -328,18 +330,36 @@ def kstar_field(family: SurfaceFamily, taus, *, resolution: int = 256,
 # -- fixed-level section of the degenerate-vertex locus -----------------------------
 
 
-def _census_count(family: SurfaceFamily, tau, k: float, resolution: int,
-                  cache: dict):
-    key = tau
-    if key in cache:
-        return cache[key]
-    try:
-        count = LevelAnalyzer(family.f_at(tau)).census(
-            k, resolution=resolution, classify=False).vertex_count
-    except (DegenerateLevelError, NumericError):
-        count = None
-    cache[key] = count
-    return count
+def _section_radius(family: SurfaceFamily, u: tuple, k: float, r: float,
+                    r_min: float, r_max: float, r_tol: float,
+                    resolution: int) -> float:
+    """The radius where k*(r u) = k, by secant steps in log r from r.
+
+    k*(r u) is the lowest birth fold in the ``KSTAR_BRACKET`` of r; it
+    grows like r^2, which sets the first step.  Stops at a step below r_tol.
+    """
+    def h(r):
+        if not r_min <= r <= r_max:
+            raise NoTransitionError(f"radius {r:.6g} outside [r_min, r_max]")
+        lo, hi = (b * r * r for b in KSTAR_BRACKET)
+        folds = LevelAnalyzer(family.f_at((r * u[0], r * u[1]))).folds(
+            hi, resolution=resolution)
+        births = [fd.level for fd in folds if fd.birth and fd.level > lo]
+        if not births:
+            raise NoTransitionError(f"no birth fold at r = {r:.6g}")
+        return math.log(births[0] / k)
+
+    s, hs = math.log(r), h(r)
+    step = -hs / 2.0
+    for _ in range(40):
+        r_new = math.exp(s + step)
+        if abs(r_new - math.exp(s)) < r_tol:
+            return r_new
+        h_new = h(r_new)
+        if h_new == hs:
+            raise NumericError(f"k* is flat along the ray at r = {r_new:.6g}")
+        s, step, hs = s + step, -h_new * step / (h_new - hs), h_new
+    raise NumericError("secant search for the section radius did not converge")
 
 
 def cup_section(family: SurfaceFamily, k: float, r_max: float, *,
@@ -347,11 +367,11 @@ def cup_section(family: SurfaceFamily, k: float, r_max: float, *,
                 bisect_steps: int = 20, spike_factor: float = 6.0) -> CupSection:
     """Section of the degenerate-vertex locus at the fixed level k.
 
-    For each direction on the fan the radius where the level-k vertex count
-    transitions (six inside, four outside) is bisected; the resulting
-    closed polyline is the section, and its cusps are detected as turning
-    spikes.  Directions whose counts do not bracket the transition are
-    reported and flag the section as partial.
+    On each direction u of the fan, k*(r u) = k (six vertices at level k
+    inside, four outside) is solved for r in [r_min, r_max] from the
+    previous direction's radius, to r_tol = r_max 2^-bisect_steps.  The
+    closed polyline of radii is the section; its cusps are detected as
+    turning spikes.  Failed directions are reported and flag it partial.
     """
     if k <= 0:
         raise InputError("level k must be positive")
@@ -359,58 +379,32 @@ def cup_section(family: SurfaceFamily, k: float, r_max: float, *,
         raise InputError("need 0 < r_min < r_max")
     if fan < 12:
         raise InputError("fan must have at least 12 directions")
-    cache: dict = {}
     fan_angles = np.linspace(0.0, 360.0, fan, endpoint=False)
     radii = np.full(fan, np.nan)
     failed = []
     r_tol = r_max * 0.5 ** bisect_steps
+    r0 = r_max
     for i, th_deg in enumerate(fan_angles):
         th = math.radians(th_deg)
         u = (math.cos(th), math.sin(th))
-        c_lo = _census_count(family, (r_min * u[0], r_min * u[1]), k,
-                             resolution, cache)
-        if c_lo is None or c_lo <= 4:
-            failed.append((float(th_deg), f"inner count {c_lo}, expected 6"))
-            continue
-        c_hi = _census_count(family, (r_max * u[0], r_max * u[1]), k,
-                             resolution, cache)
-        if c_hi != 4:
-            failed.append((float(th_deg), f"outer count {c_hi}, expected 4"))
-            continue
-        lo, hi = r_min, r_max
-        for _ in range(bisect_steps):
-            mid = 0.5 * (lo + hi)
-            c = _census_count(family, (mid * u[0], mid * u[1]), k,
-                              resolution, cache)
-            if c is None:
-                mid += 0.017 * (hi - lo)
-                c = _census_count(family, (mid * u[0], mid * u[1]), k,
-                                  resolution, cache)
-                if c is None:
-                    failed.append((float(th_deg), "census failed in bracket"))
-                    break
-            if c > 4:
-                lo = mid
-            else:
-                hi = mid
-        else:
-            radii[i] = 0.5 * (lo + hi)
+        try:
+            radii[i] = r0 = _section_radius(family, u, k, r0, r_min, r_max,
+                                            r_tol, resolution)
+        except (NoTransitionError, NumericError, DegenerateLevelError) as e:
+            failed.append((float(th_deg), f"{type(e).__name__}: {e}"))
     ok = ~np.isnan(radii)
     pts = np.column_stack([radii[ok] * np.cos(np.radians(fan_angles[ok])),
                            radii[ok] * np.sin(np.radians(fan_angles[ok]))])
     partial = bool(len(failed))
-    if len(pts):
-        locus = np.vstack([pts, pts[:1]])
-    else:
-        locus = np.zeros((0, 2))
+    locus = np.vstack([pts, pts[:1]])
     cusp_angles: list = []
-    if not partial and len(pts) == fan:
+    if not partial:
         idx = detect_polyline_cusps(pts, spike_factor=spike_factor)
         cusp_angles = [float(fan_angles[i]) for i in idx]
     metadata = {"family": repr(family), "k": k, "r_max": r_max, "fan": fan,
                 "r_min": r_min, "resolution": resolution, "r_tol": r_tol,
                 "spike_factor": spike_factor,
-                "counts": "inside > 4, outside == 4"}
+                "counts": "k*(r u) = k: 6 vertices inside, 4 outside"}
     return CupSection(k=k, locus=locus, cusp_angles=sorted(cusp_angles),
                       fan_angles=fan_angles, radii=radii, failed=failed,
                       partial=partial, metadata=metadata)

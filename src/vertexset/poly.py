@@ -522,7 +522,8 @@ class ParamPoly(_PlaneView, NVarPoly):
         Exact (int / Fraction) parameter values give exact coefficients.
         When any entry of ``tau`` is inexact, every coefficient comes out a
         float, parameter-free ones included, so arithmetic on the result
-        never mixes Fraction and float.
+        never mixes Fraction and float; each is then summed in key order.
+        The result keeps the x/y term order of this polynomial.
         """
         vals = [_exact_or_float(v) for v in tau]
         if len(vals) != self.nparams:
@@ -531,23 +532,22 @@ class ParamPoly(_PlaneView, NVarPoly):
             terms = [(k[:2], k[2:], c) for k, c in self.terms.items()]
         else:
             terms = self._float_terms()
-        out: dict = {}
+        out = {k[:2]: 0 for k in self.terms}
         for xy, es, c in terms:
             term = c
             for v, e in zip(vals, es):
                 if e:
                     term = term * v**e
-            out[xy] = out.get(xy, 0) + term
+            out[xy] = out[xy] + term
         return BivarPoly._raw(2, {k: v for k, v in out.items() if not (v == 0)})
 
     def _float_terms(self) -> list:
         """(x/y exponents, parameter exponents, float coefficient) of every
-        term, cached (the slot stays unset until the first call).  A float
-        product of an exact coefficient rounds it to float first, so float
-        substitution gives the same bits through this list."""
+        term in key order, cached (the slot stays unset until the first call).
+        Float products round an exact coefficient first; the order is fixed."""
         t = getattr(self, "_float_cache", None)
         if t is None:
-            t = self._float_cache = [(k[:2], k[2:], float(c)) for k, c in self.terms.items()]
+            t = self._float_cache = [(k[:2], k[2:], float(c)) for k, c in sorted(self.terms.items())]
         return t
 
     def at_zero(self) -> BivarPoly:

@@ -304,7 +304,7 @@ def trace_zero_set(field: PolyField, radius: float, resolution: int = 512, *,
     curves = [c for c in curves
               if len(c.points) >= 3 or len(c.boundary_hits) == 2]
     if len(sing) > 1:
-        sing = dedupe_points(sing, 2 * h)
+        sing = sing[distinct_rows(sing, 2 * h)]
     return TraceResult(curves=curves, singular_points=sing, radius=radius,
                        resolution=n)
 
@@ -501,13 +501,13 @@ def _finish_curve(field: PolyField, pts: np.ndarray, res: np.ndarray,
                        closed=closed, boundary_hits=hits)
 
 
-def dedupe_points(pts, eps: float) -> np.ndarray:
-    """Points farther than ``eps`` from every earlier kept point, in order."""
-    kept: list[np.ndarray] = []
-    for p in pts:
-        if all(np.linalg.norm(p - q) > eps for q in kept):
-            kept.append(p)
-    return np.array(kept, dtype=float).reshape(-1, 2)
+def distinct_rows(pts: np.ndarray, eps: float) -> list:
+    """Indices of the points farther than ``eps`` from every earlier kept one."""
+    kept: list[int] = []
+    for i, p in enumerate(pts):
+        if all(np.linalg.norm(p - pts[j]) > eps for j in kept):
+            kept.append(i)
+    return kept
 
 
 # -- origin branches ---------------------------------------------------------
@@ -795,7 +795,7 @@ def polish_crossings(field_a: PolyField, field_b: PolyField, pa: np.ndarray,
         moved[k] = 1
         d = hi[idx] - lo[idx]
         active[idx] = (fm != 0) & (np.einsum("ij,ij->i", d, d) > stop[idx])
-    return newton(field_system(field_a, field_b), root, tol=tol, max_iter=max_iter)[0]
+    return newton(field_system(field_a, field_b), root, tol=tol, max_iter=max_iter)[:2]
 
 
 def _segment_intersections(A: np.ndarray, B: np.ndarray) -> tuple:
@@ -870,8 +870,8 @@ def intersect_curves(curves_a: list, curves_b: list, field_a: PolyField,
     no_change = ((field_b.values(lo) >= 0) == (field_b.values(hi) >= 0))[:, None]
     lo = np.where(no_change, seeds, lo)
     hi = np.where(no_change, seeds, hi)
-    refined = polish_crossings(field_a, field_b, lo, hi, tol=tol, max_iter=max_iter)
-    return dedupe_points(refined, 10 * tol)
+    refined, _ = polish_crossings(field_a, field_b, lo, hi, tol=tol, max_iter=max_iter)
+    return refined[distinct_rows(refined, 10 * tol)]
 
 
 # -- driver --------------------------------------------------------------------

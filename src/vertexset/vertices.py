@@ -1,4 +1,4 @@
-"""Vertex censuses of individual level curves.
+"""Vertex censuses of individual level curves, and the levels where they change.
 
 A vertex of a level curve of f is a point where the arclength derivative
 of the curve's curvature vanishes, i.e. where the vertex function V of f
@@ -8,14 +8,16 @@ sharpen all of them at once by a bracketed secant search along the level
 and a joint Newton iteration on (f - k, V), and classify every vertex by
 curvature value, extremum type, and degeneracy.  Degeneracy uses the exact
 tangential derivative chain of the curvature by default, with an
-independent finite-difference probe available for cross-checking.  A
-transition search finds the level k* at which the vertex count changes,
-polishing the merge point on the tangency system (V, dV/ds).
+independent finite-difference probe available for cross-checking.
+
+The count changes at a fold of f on V = 0, where a level curve touches
+the vertex set: a common zero of V and W = V_y f_x - V_x f_y, found by
+the census's polishing step on the sign changes of W along V = 0.  The
+transition level k* is the lowest birth fold, confirmed by two censuses.
 
 An analyzer builds f, V, G = |grad f|^2 and the curvature numerator P_0
 when it is created, which is all a count needs.  The order-4 derivative
-chain and the tangency polynomial W = dV/ds * |grad f| are built on first
-use, by classification and by the transition search.
+chain and W are built on first use, by classification and by ``folds``.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from .errors import (
 )
 from .poly import BivarPoly
 from .tracer import (GRAD_FLOOR, TRACE_TOL, PolyField, critical_system,
-                     dedupe_points, field_system, newton, polish_crossings,
+                     distinct_rows, newton, polish_crossings,
                      project_to_zero_set, trace_zero_set)
 from .vertexfn import kappa_derivative_polys, vertex_poly
 
@@ -78,7 +80,15 @@ class KStarResult:
     count_low: int
     count_high: int
     degeneracy: int | str
-    polished: bool
+
+
+@dataclass(frozen=True)
+class Fold:
+    """A point where the level curve f = level touches {V = 0}; ``birth``
+    marks a local minimum of f on V = 0, where two vertices are born."""
+    point: tuple
+    level: float
+    birth: bool
 
 
 @dataclass(frozen=True)
@@ -95,7 +105,7 @@ class LevelAnalyzer:
     G = |grad f|^2 (``g_poly``) and the curvature numerator P_0.  Built on
     first use and then kept: the order-4 tangential derivative chain
     ``kappa_polys`` (needed to classify vertices) and the tangency
-    polynomial W (``wpoly``, ``field_w``; needed to polish k*).  A census
+    polynomial W (``wpoly``, ``field_w``; needed to find folds).  A census
     with ``classify=False`` builds neither.
     """
 
@@ -143,13 +153,6 @@ class LevelAnalyzer:
             out[:, j] = p.eval_grid(pts[:, 0], pts[:, 1]) / g ** (e / 2.0)
         return out
 
-    def _vertex_scale(self, radius: float) -> float:
-        s = self._vertex_scale_cache.get(radius)
-        if s is None:
-            s = self.vpoly.bound_on_disc(radius)
-            self._vertex_scale_cache[radius] = s
-        return s
-
     # -- tracing a level -----------------------------------------------------
 
     def trace_level(self, k: float, *, resolution: int = 384,
@@ -166,7 +169,6 @@ class LevelAnalyzer:
         else:
             r = window
         level_poly = self.f - k
-        tr = None
         while True:
             tr = trace_zero_set(PolyField(level_poly), r, resolution,
                                 trace_tol=trace_tol)
@@ -188,26 +190,13 @@ class LevelAnalyzer:
         """Count and classify the vertices of the level curve f = k."""
         tr, radius = self.trace_level(k, resolution=resolution, window=window,
                                       trace_tol=trace_tol)
-        vmax = 0.0
-        starts, ends = [], []
-        for c in tr.curves:
-            pts = c.polyline()
-            vv = self.field_v.values(pts)
-            vmax = max(vmax, float(np.abs(vv).max()))
-            s = np.where(vv >= 0.0, 1, -1)
-            i = np.flatnonzero(s[:-1] * s[1:] < 0)
-            starts.append(pts[i])
-            ends.append(pts[i + 1])
-        if vmax < 1e-13 * max(self._vertex_scale(radius), 1e-300):
+        vertices, _, vmax = _roots_along(tr.curves, PolyField(self.f - k),
+                                         self.field_v, self.grad_floor)
+        if vmax < 1e-13 * max(self.vpoly.bound_on_disc(radius), 1e-300):
             raise DegenerateLevelError(
                 "vertex function vanishes along the whole level curve; "
                 "every point is a vertex"
             )
-        vertices = polish_crossings(PolyField(self.f - k), self.field_v,
-                                    np.vstack(starts), np.vstack(ends),
-                                    tol=1e-14, max_iter=12,
-                                    grad_floor=self.grad_floor)
-        vertices = dedupe_points(vertices, 1e-11)
         records = self._records(vertices, k, radius, deg_tol, classify)
         return LevelCensus(level=k, vertex_count=len(records), records=records,
                            closed=all(c.closed for c in tr.curves),
@@ -307,74 +296,67 @@ class LevelAnalyzer:
 
     # -- vertex count transitions -----------------------------------------------
 
+    def folds(self, k_hi: float, *, resolution: int = 256,
+              window: float = 0.6) -> list:
+        """Folds of f on the vertex set {V = 0} below the level k_hi, by level.
+
+        V = 0 is traced in the disc that holds the closed level curve
+        f = k_hi, and the sign changes of W along it are polished on
+        (V, W) = 0.  Rows that did not converge, or that sit on a critical
+        point of f (where V and W vanish trivially), are dropped.
+        """
+        _, radius = self.trace_level(k_hi, resolution=resolution, window=window)
+        tr = trace_zero_set(self.field_v, radius, resolution)
+        pts, ok, _ = _roots_along(tr.curves, self.field_v, self.field_w,
+                                  self.grad_floor)
+        pts = pts[ok & (self.g_poly.eval_grid(pts[:, 0], pts[:, 1])
+                        > self.grad_floor ** 2)]
+        levels = self.field_f.values(pts)
+        gv, gw = self.field_v.grads(pts), self.field_w.grads(pts)
+        births = gw[:, 0] * gv[:, 1] - gw[:, 1] * gv[:, 0] > 0
+        return sorted((Fold(point=(float(p[0]), float(p[1])), level=float(lv),
+                            birth=bool(b))
+                       for p, lv, b in zip(pts, levels, births) if lv < k_hi),
+                      key=lambda fd: fd.level)
+
     def count_transition(self, k_lo: float, k_hi: float, *,
-                         counts: tuple = (4, 6), ladder: int = 49,
-                         resolution: int = 256, rel_tol: float = 1e-4,
-                         window: float = 0.6, deg_tol: float = DEG_TOL) -> KStarResult:
+                         counts: tuple = (4, 6), resolution: int = 256,
+                         rel_tol: float = 1e-4, window: float = 0.6,
+                         deg_tol: float = DEG_TOL) -> KStarResult:
         """Find the level k* where the vertex count steps from counts[0] to [1].
 
-        A geometric ladder locates a bracket, bisection narrows it to
-        ``rel_tol`` relative width, and the merge point is polished on the
-        tangency system (V = 0, dV/ds = 0); k* is then f at the merge point
-        when Newton converges there and lands inside the bracket, otherwise
-        the bisection midpoint.
+        k* is the lowest birth fold of f on V = 0 in (k_lo, k_hi) (see
+        ``folds``).  Two censuses confirm the counts, one at the geometric
+        midpoint of k* and each neighbouring fold level (or k_lo, k_hi);
+        they are the returned bracket.  A neighbouring fold within
+        ``rel_tol`` relative of k* leaves no level between them a census
+        can be trusted at, and raises DegenerateLevelError.
         """
         if not 0 < k_lo < k_hi:
             raise InputError("need 0 < k_lo < k_hi")
-        lo_c, hi_c = counts
-
-        def count(k):
-            try:
-                return self.census(k, resolution=resolution, window=window,
-                                   classify=False).vertex_count
-            except DegenerateLevelError:
-                return -1
-
-        ks = np.geomspace(k_lo, k_hi, ladder)
-        cs = [count(k) for k in ks]
-        lo = hi = None
-        for a, b, ca, cb in zip(ks, ks[1:], cs, cs[1:]):
-            if ca == lo_c and cb == hi_c:
-                lo, hi = a, b
-                break
-        if lo is None:
-            raise NoTransitionError(
-                f"no {lo_c} -> {hi_c} vertex count transition in "
-                f"[{k_lo:.3e}, {k_hi:.3e}]; counts seen: {sorted(set(cs))}"
-            )
-        while hi / lo - 1.0 > rel_tol:
-            mid = math.sqrt(lo * hi)
-            if count(mid) <= lo_c:
-                lo = mid
-            else:
-                hi = mid
-        # the two nearest vertices just above the transition are the merging pair
-        above = self.census(hi, resolution=resolution, window=window,
-                            classify=False)
-        pts = np.array([r.point for r in above.records])
-        if len(pts) < 2:
-            raise NumericError("transition bracket lost the merging pair")
-        dd = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)
-        dd[np.diag_indices(len(pts))] = np.inf
-        i, j = np.unravel_index(np.argmin(dd), dd.shape)
-        seed = 0.5 * (pts[i] + pts[j])
-        p, converged, _ = newton(field_system(self.field_v, self.field_w),
-                                 seed[None, :], tol=1e-14, max_iter=20,
-                                 max_step=0.5)
-        merge = p[0] if converged[0] else seed
-        polished = False
-        kstar = math.sqrt(lo * hi)
-        if converged[0]:
-            k_cand = self.field_f.value(merge[0], merge[1])
-            if lo * (1 - 5 * rel_tol) <= k_cand <= hi * (1 + 5 * rel_tol):
-                kstar = k_cand
-                polished = True
-        rec = self.classify_vertex(merge, kstar, deg_tol=deg_tol)
-        return KStarResult(kstar=float(kstar),
-                           merge_point=(float(merge[0]), float(merge[1])),
-                           bracket=(float(lo), float(hi)),
-                           count_low=lo_c, count_high=hi_c,
-                           degeneracy=rec.degeneracy, polished=polished)
+        folds = [fd for fd in self.folds(k_hi, resolution=resolution,
+                                         window=window) if fd.level > k_lo]
+        i = next((i for i, fd in enumerate(folds) if fd.birth), None)
+        if i is None:
+            raise NoTransitionError(f"no birth fold of f on the vertex set in "
+                                    f"[{k_lo:.3e}, {k_hi:.3e}]")
+        levels = [k_lo] + [fd.level for fd in folds] + [k_hi]
+        lower, kstar, upper = levels[i:i + 3]
+        if any(abs(fd.level / kstar - 1.0) < rel_tol
+               for fd in folds[max(i - 1, 0):i + 2] if fd is not folds[i]):
+            raise DegenerateLevelError(
+                f"fold levels {lower:.9e}, {kstar:.9e}, {upper:.9e} are closer "
+                f"than {rel_tol:g} relative")
+        bracket = (math.sqrt(lower * kstar), math.sqrt(kstar * upper))
+        seen = tuple(self.census(k, resolution=resolution, window=window,
+                                 classify=False).vertex_count for k in bracket)
+        if seen != tuple(counts):
+            raise NoTransitionError(f"counts {seen} across the birth fold at "
+                                    f"k = {kstar:.6e}, expected {tuple(counts)}")
+        rec = self.classify_vertex(folds[i].point, kstar, deg_tol=deg_tol)
+        return KStarResult(kstar=kstar, merge_point=folds[i].point,
+                           bracket=bracket, count_low=counts[0],
+                           count_high=counts[1], degeneracy=rec.degeneracy)
 
     # -- critical points of the surface ------------------------------------------
 
@@ -408,6 +390,28 @@ class LevelAnalyzer:
                                        value=float(v), kind=kind))
         found.sort(key=lambda c: abs(c.value))
         return found
+
+
+def _roots_along(curves: list, field_a: PolyField, field_b: PolyField,
+                 grad_floor: float) -> tuple:
+    """Sign changes of B along the traced curves of A = 0, polished on
+    (A, B) = 0 and deduped: the points, their convergence flags, and the
+    largest |B| at the curve points."""
+    bmax = 0.0
+    starts, ends = [np.zeros((0, 2))], [np.zeros((0, 2))]
+    for c in curves:
+        pts = c.polyline()
+        bb = field_b.values(pts)
+        bmax = max(bmax, float(np.abs(bb).max()))
+        s = np.where(bb >= 0.0, 1, -1)
+        i = np.flatnonzero(s[:-1] * s[1:] < 0)
+        starts.append(pts[i])
+        ends.append(pts[i + 1])
+    pts, ok = polish_crossings(field_a, field_b, np.vstack(starts),
+                               np.vstack(ends), tol=1e-14, max_iter=12,
+                               grad_floor=grad_floor)
+    keep = distinct_rows(pts, 1e-11)
+    return pts[keep], ok[keep], bmax
 
 
 def _classify_from_derivatives(derivs: np.ndarray, scales: np.ndarray,

@@ -222,7 +222,7 @@ class TestKstarField:
         assert "q_by_angle" in res.metadata
 
     def test_failure_recorded_not_raised(self, fam):
-        # far outside the local regime the count ladder finds no 4 -> 6 step
+        # far outside the local regime the lowest birth fold is no 4 -> 6 step
         res = kstar_field(fam, [_dir(20.0, 0.5)])
         s = res.samples[0]
         assert s.error is not None
@@ -291,7 +291,23 @@ class TestDetectCusps:
             detect_polyline_cusps(np.zeros((5, 2)))
 
 
+@pytest.fixture(scope="module")
+def fan12(fam):
+    return cup_section(fam, 6e-4, 0.095, fan=12, bisect_steps=20)
+
+
 class TestCupSectionSmoke:
+    def test_radii_settle_with_bisect_steps(self, fam, fan12):
+        coarse = cup_section(fam, 6e-4, 0.095, fan=12, bisect_steps=12)
+        assert np.abs(coarse.radii - fan12.radii).max() < 0.095 * 2.0 ** -16
+
+    def test_birth_fold_at_the_level(self, fam, fan12):
+        for th, r in zip(fan12.fan_angles, fan12.radii):
+            la = LevelAnalyzer(fam.f_at(_dir(th, r)))
+            births = [fd.level for fd in la.folds(2.0 * r * r)
+                      if fd.birth and fd.level > 0.02 * r * r]
+            assert births[0] == pytest.approx(6e-4, rel=1e-9)
+
     def test_coarse_fan(self, fam):
         cs = cup_section(fam, 6e-4, 0.095, fan=12, bisect_steps=10)
         assert not cs.partial

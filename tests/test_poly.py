@@ -4,7 +4,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from vertexset import BivarPoly, InputError, NVarPoly, ParamPoly
+from vertexset import (BivarPoly, InputError, NVarPoly, ParamPoly,
+                       build_vertex_function, make_canonical_family)
 from vertexset.poly import fit_scalar_ratio, max_coeff_diff
 
 
@@ -156,6 +157,19 @@ def test_param_poly_round_trip():
     assert f.at_zero() == BivarPoly({(2, 0): 1, (0, 2): 1})
     with pytest.raises(InputError):
         f.substitute_params([1])
+
+
+def test_float_substitution_ignores_term_order():
+    # V built with its terms in another order substitutes to the same bits
+    v = build_vertex_function(make_canonical_family(1, 0, 2))
+    items = list(v.terms.items())
+    order = np.random.default_rng(0).permutation(len(items))
+    shuffled = ParamPoly._raw(v.nvars, dict(items[i] for i in order))
+    assert shuffled == v
+    a = v.substitute_params((0.05, 0.02))
+    b = shuffled.substitute_params((0.05, 0.02))
+    assert a.terms.keys() == b.terms.keys()
+    assert all(a.terms[k] == b.terms[k] for k in a.terms)
 
 
 def test_param_degree_parts_sum():

@@ -237,6 +237,25 @@ class TestNewton:
         assert abs(x[0, 0] - math.sqrt(2.0)) < 1e-2
 
 
+class TestPolishCrossings:
+    def test_convergence_flags(self):
+        # a bracket across the crossing of the unit circle with y = 0
+        # converges; on the tangent pair y = x^2, y = 0 Newton only halves
+        # the distance to the double root per step
+        line = PolyField(bp({(0, 1): 1}))
+        pts, ok = tracer.polish_crossings(PolyField(CIRCLE), line,
+                                          [[0.8, 0.6]], [[0.8, -0.6]],
+                                          tol=1e-14, max_iter=12)
+        assert ok.tolist() == [True]
+        assert pts[0] == pytest.approx([1.0, 0.0], abs=1e-15)
+        parabola = PolyField(bp({(0, 1): 1, (2, 0): -1}))
+        seed = [[0.1, 0.01]]
+        pts, ok = tracer.polish_crossings(parabola, line, seed, seed,
+                                          tol=1e-14, max_iter=12)
+        assert ok.tolist() == [False]
+        assert 0.0 < pts[0, 0] < 1e-4
+
+
 class TestIntersectCurves:
     def test_circle_meets_line(self):
         line = bp({(1, 0): 1, (0, 1): -1})

@@ -165,7 +165,7 @@ class TestClassify:
 class TestCountTransition:
     def test_kstar_value_frozen(self, deformed):
         res = deformed.count_transition(1e-4, 1e-2)
-        assert res.polished
+        assert res.bracket[0] < res.kstar < res.bracket[1]
         assert abs(res.kstar - KSTAR_05_02) / KSTAR_05_02 < 1e-6
         assert res.count_low == 4
         assert res.count_high == 6
@@ -182,6 +182,37 @@ class TestCountTransition:
         assert abs(deformed.field_v.value(x, y)) < 1e-15
         assert abs(deformed.field_w.value(x, y)) < 1e-12
         assert abs(deformed.field_f.value(x, y) - res.kstar) < 1e-15
+
+    def test_bracket_lies_between_fold_levels(self, deformed):
+        res = deformed.count_transition(1e-4, 1e-2)
+        levels = [fd.level for fd in deformed.folds(1e-2)]
+        lo, hi = res.bracket
+        assert 1e-4 < lo < res.kstar < hi < 1e-2
+        assert [lv for lv in levels if lo <= lv <= hi] == [res.kstar]
+
+    def test_close_fold_pair_raises(self, deformed, monkeypatch):
+        k = KSTAR_05_02
+        pair = [vertices.Fold(point=(0.0, 0.1), level=k, birth=True),
+                vertices.Fold(point=(0.0, -0.1), level=k * (1 + 1e-5),
+                              birth=False)]
+        monkeypatch.setattr(LevelAnalyzer, "folds", lambda self, *a, **kw: pair)
+        with pytest.raises(DegenerateLevelError, match="closer than"):
+            deformed.count_transition(1e-4, 1e-2, rel_tol=1e-4)
+
+    def test_folds_skip_critical_points(self):
+        # V and W vanish together at the minimum of f (level 0) and near a
+        # saddle at level 5.37e-3, where Newton on (V, W) does not converge;
+        # neither is a fold
+        th = math.radians(20.0)
+        la = LevelAnalyzer(make_canonical_family(1, 0, 2).f_at(
+            (0.5 * math.cos(th), 0.5 * math.sin(th))))
+        (saddle,) = [c for c in la.critical_points() if c.kind == "saddle"]
+        assert saddle.value == pytest.approx(5.37e-3, rel=1e-3)
+        folds = la.folds(0.5)
+        assert folds
+        for fd in folds:
+            assert fd.level > 1e-2
+            assert math.dist(fd.point, saddle.point) > 1e-2
 
     def test_no_transition_in_flat_range(self, deformed):
         with pytest.raises(NoTransitionError):
