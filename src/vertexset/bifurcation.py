@@ -3,12 +3,15 @@
 The deformation parameter tau = (lam, mu) lives in a plane; as tau crosses
 a discriminant consisting of three curves tangent to the lines mu = 0 and
 mu = +-sqrt(3) lam, the pairing of the vertex-set branches changes.  This
-module measures that picture: discriminant angles by bisection on the
-pairing label, the transition-level field k*(tau), fixed-level sections of
-the degenerate-vertex locus (closed curves with six cusps, solved ray by
-ray for k*(r u) = k on the folds of f on the vertex set), the exact
-reference parametrization those sections are compared against, and the
-self-intersection point of a vertex set on the discriminant.
+module measures that picture: discriminant angles, bracketed by a sweep
+of the pairing label and solved as nodes of the vertex set, the
+transition-level field k*(tau), fixed-level sections of the
+degenerate-vertex locus (closed curves with six cusps, solved ray by ray
+for k*(r u) = k on the folds of f on the vertex set), the exact reference
+parametrization those sections are compared against, and the
+self-intersection point of a vertex set on the discriminant.  Every
+system over (x, y) and a parameter path goes through one Newton solver,
+``_newton_xyt``, with one residual gate.
 
 Angles in parameter space are degrees throughout.  Scan samples are
 processed independently in index order, and every sample records the
@@ -30,7 +33,14 @@ from .errors import (
     UnresolvedTopologyError,
 )
 from .surface import SurfaceFamily
-from .tracer import analyze_vertex_set, boundary_crossings, classify_pairing, newton
+from .tracer import (
+    PolyField,
+    analyze_vertex_set,
+    boundary_crossings,
+    classify_pairing,
+    critical_system,
+    newton,
+)
 from .util import wrap_angle
 from .vertexfn import build_vertex_function, kappa_derivative_polys
 from .vertices import LevelAnalyzer
@@ -166,76 +176,93 @@ def classify_at(family: SurfaceFamily, tau, *, radius: float = WORK_RADIUS,
 # -- discriminant angles --------------------------------------------------------
 
 
+def _node_seed(v, r_param: float) -> np.ndarray:
+    """(x, y) of the saddle of v with the least |v| / sqrt(-det Hess v).
+
+    That ratio is how far the saddle is from a node of v = 0.  The saddles
+    come from Newton on grad v = 0 started on a ring of 12 directions at
+    each of the radii r_param/6, r_param/3 and 2 r_param/3; the origin, a
+    degenerate critical point of every v, is excluded.
+    """
+    field = PolyField(v)
+    system = critical_system(field)
+    phi = np.radians(np.arange(0.0, 360.0, 30.0))
+    ring = np.concatenate([r * np.column_stack([np.cos(phi), np.sin(phi)])
+                           for r in (r_param / 6.0, r_param / 3.0, 2.0 * r_param / 3.0)])
+    pts, converged, _ = newton(system, ring, tol=1e-9 * r_param, max_iter=30,
+                               max_step=r_param)
+    det = np.linalg.det(system(pts)[1])
+    saddle = converged & (det < 0.0) & (np.hypot(*pts.T) > 1e-2 * r_param)
+    if not saddle.any():
+        raise NumericError("no saddle of the vertex function to seed a node")
+    score = np.abs(field.values(pts[saddle])) / np.sqrt(-det[saddle])
+    return pts[saddle][score.argmin()]
+
+
 def discriminant_angles(family: SurfaceFamily, r_param: float = 0.03, *,
                         coarse_deg: float = 2.0, refine_deg: float = 0.1,
                         radius: float = WORK_RADIUS,
                         resolution: int = WORK_RESOLUTION) -> DiscriminantScan:
     """Angles where the pairing label changes on the circle |tau| = r_param.
 
-    A 2 degree sweep classifies the pairing around the circle; each label
-    change is bisected down to ``refine_deg``.  Samples whose topology does
-    not resolve are skipped and reported in the result.
+    A sweep in steps of ``coarse_deg`` classifies the pairing around the
+    circle; it certifies each label change and brackets it.  The flip is a
+    node of the vertex set, (V, V_x, V_y) = 0 over (x, y, theta) with
+    tau = r_param (cos theta, sin theta): all brackets are solved at once,
+    each seeded at its midpoint angle and the saddle of V_tau there nearest
+    to a node.  A node that does not converge, or lands outside its bracket
+    widened by half a coarse step at each end, raises NumericError naming
+    the bracket.  ``refine_deg`` has no effect on the result; it is
+    validated and recorded for configs written for the earlier bisection.
+    Coarse samples whose topology does not resolve are skipped and reported.
     """
     if r_param <= 0:
         raise InputError("r_param must be positive")
     if not 0 < refine_deg <= coarse_deg:
         raise InputError("need 0 < refine_deg <= coarse_deg")
-    tolerances = {"r_param": r_param, "radius": radius,
-                  "resolution": resolution, "refine_deg": refine_deg}
 
-    def label_at(theta_deg: float):
-        th = math.radians(theta_deg)
-        tau = (r_param * math.cos(th), r_param * math.sin(th))
-        lab = classify_at(family, tau, radius=radius, resolution=resolution)
-        if lab.kind != "split":
-            raise UnresolvedTopologyError(
-                f"non-split configuration at theta={theta_deg:.2f} deg"
-            )
-        return lab.label
+    def circle(t):
+        c, s = math.cos(t), math.sin(t)
+        return (r_param * c, r_param * s), (-r_param * s, r_param * c)
 
     skipped: list = []
     samples: list = []
-    thetas = np.arange(0.0, 360.0, coarse_deg)
-    for th in thetas:
+    for th in np.arange(0.0, 360.0, coarse_deg).tolist():
         try:
-            samples.append((float(th), label_at(float(th))))
+            lab = classify_at(family, circle(math.radians(th))[0], radius=radius,
+                              resolution=resolution)
+            if lab.kind != "split":
+                raise UnresolvedTopologyError(
+                    f"non-split configuration at theta={th:.2f} deg")
+            samples.append((th, lab.label))
         except UnresolvedTopologyError as e:
-            skipped.append((float(th), str(e)))
+            skipped.append((th, str(e)))
 
     if len(samples) < 12:
         raise UnresolvedTopologyError("too few resolved samples to scan")
 
-    angles = []
     n = len(samples)
-    for i in range(n):
-        th_a, la = samples[i]
-        th_b, lb = samples[(i + 1) % n]
-        if la == lb:
-            continue
-        if i + 1 == n:
-            th_b += 360.0
-        lo, hi = th_a, th_b
-        lab_lo = la
-        while hi - lo > refine_deg:
-            mid = 0.5 * (lo + hi)
-            try:
-                lm = label_at(mid % 360.0)
-            except UnresolvedTopologyError as e:
-                skipped.append((mid % 360.0, str(e)))
-                mid += (hi - lo) / 8.0
-                try:
-                    lm = label_at(mid % 360.0)
-                except UnresolvedTopologyError as e2:
-                    skipped.append((mid % 360.0, str(e2)))
-                    break
-            if lm == lab_lo:
-                lo = mid
-            else:
-                hi = mid
-        angles.append((0.5 * (lo + hi)) % 360.0)
+    brackets = [(samples[i][0], samples[(i + 1) % n][0] + 360.0 * (i + 1 == n))
+                for i in range(n) if samples[i][1] != samples[(i + 1) % n][1]]
+    vp = build_vertex_function(family)
+    seeds = [(*_node_seed(vp.substitute_params(circle(t)[0]), r_param), t)
+             for t in (math.radians(0.5 * (lo + hi)) for lo, hi in brackets)]
+    state, solved, steps, _ = _newton_xyt([vp, vp.diff("x"), vp.diff("y")], circle,
+                                          seeds, max_iter=30,
+                                          max_step=0.5 * r_param + 0.1)
+    angles = []
+    for (lo, hi), (_, _, t), ok, k in zip(brackets, state, solved, steps):
+        deg = math.degrees(t)
+        off = (deg - 0.5 * (lo + hi) + 180.0) % 360.0 - 180.0
+        if not ok or abs(off) > 0.5 * (hi - lo + coarse_deg):
+            raise NumericError(
+                f"node solve for the label change in [{lo:.2f}, {hi:.2f}] deg "
+                f"failed after {k} steps at theta = {deg:.3f} deg")
+        deg %= 360.0
+        angles.append(0.0 if deg == 360.0 else deg)
 
-    metadata = {"family": repr(family), "coarse_deg": coarse_deg,
-                **tolerances}
+    metadata = {"family": repr(family), "coarse_deg": coarse_deg, "r_param": r_param,
+                "radius": radius, "resolution": resolution, "refine_deg": refine_deg}
     return DiscriminantScan(angles=sorted(angles), samples=samples,
                             skipped=skipped, metadata=metadata)
 
@@ -364,7 +391,7 @@ def _section_radius(family: SurfaceFamily, u: tuple, k: float, r: float,
 
 def cup_section(family: SurfaceFamily, k: float, r_max: float, *,
                 fan: int = 96, r_min: float = 1e-3, resolution: int = 256,
-                bisect_steps: int = 20, spike_factor: float = 6.0) -> CupSection:
+                bisect_steps: int = 20) -> CupSection:
     """Section of the degenerate-vertex locus at the fixed level k.
 
     On each direction u of the fan, k*(r u) = k (six vertices at level k
@@ -399,11 +426,10 @@ def cup_section(family: SurfaceFamily, k: float, r_max: float, *,
     locus = np.vstack([pts, pts[:1]])
     cusp_angles: list = []
     if not partial:
-        idx = detect_polyline_cusps(pts, spike_factor=spike_factor)
+        idx = detect_polyline_cusps(pts)
         cusp_angles = [float(fan_angles[i]) for i in idx]
     metadata = {"family": repr(family), "k": k, "r_max": r_max, "fan": fan,
                 "r_min": r_min, "resolution": resolution, "r_tol": r_tol,
-                "spike_factor": spike_factor,
                 "counts": "k*(r u) = k: 6 vertices inside, 4 outside"}
     return CupSection(k=k, locus=locus, cusp_angles=sorted(cusp_angles),
                       fan_angles=fan_angles, radii=radii, failed=failed,
@@ -472,15 +498,47 @@ def cup_reference(k: float, samples: int = 720) -> np.ndarray:
 # -- vertex-set self-intersection on the discriminant -------------------------------
 
 
-def _newton_xyt(polys: list, tau, free_param: int, seed, max_iter: int,
-                what: str) -> tuple:
-    """Newton on (p_1, p_2, p_3) = 0 over (x, y, t) for three ParamPolys.
+def _newton_xyt(polys: list, path, seeds, *, max_iter: int,
+                max_step: float) -> tuple:
+    """Newton on (p_1, p_2, p_3) = 0 over (x, y, t) along a parameter path.
 
-    t replaces component ``free_param`` of tau and starts there, (x, y)
-    start at ``seed``, by default at (0, lam/3) (see the public entry
-    points).  A singular system or a step longer than
-    0.5 max|tau| + 0.1 raises NumericError naming ``what``.  Returns x, y,
-    the parameters at the solution and the number of steps taken.
+    ``path(t)`` gives tau(t) and dtau/dt, so the Jacobian's t column is
+    sum_k dtau_k/dt dp/dtau_k; a line in tau has a unit dtau/dt, a circle a
+    tangent one.  ``seeds`` are rows (x, y, t), solved in one batch.  A row
+    is solved when Newton converged and every |p| at the solution is at
+    most 1e-8 bound_on_disc(2 |(x, y)|) of p there.  Returns the states,
+    the solved flags, the step counts and the relative residuals
+    |p| / bound_on_disc, one row each.
+    """
+    dpolys = [[p.diff_param(k) for k in range(p.nparams)] for p in polys]
+
+    def system(states):
+        F = np.empty((len(states), 3))
+        J = np.empty((len(states), 3, 3))
+        for r, (x, y, t) in enumerate(states):
+            tau, dtau = path(t)
+            for i, (p, dp) in enumerate(zip(polys, dpolys)):
+                q = p.substitute_params(tau)
+                F[r, i] = q.eval(x, y)
+                J[r, i] = (q.diff("x").eval(x, y), q.diff("y").eval(x, y),
+                           sum(d * dpk.substitute_params(tau).eval(x, y)
+                               for d, dpk in zip(dtau, dp) if d))
+        return F, J
+
+    state, converged, steps = newton(system, np.reshape(seeds, (-1, 3)), tol=1e-15,
+                                     max_iter=max_iter, max_step=max_step)
+    rel = np.array([[abs(q.eval(x, y)) / max(q.bound_on_disc(2.0 * math.hypot(x, y)), 1e-300)
+                     for q in (p.substitute_params(path(t)[0]) for p in polys)]
+                    for x, y, t in state]).reshape(len(state), len(polys))
+    return state, converged & (rel <= 1e-8).all(axis=1), steps, rel
+
+
+def _solve_on_line(polys: list, tau, free_param: int, seed, max_iter: int,
+                   what: str) -> tuple:
+    """``_newton_xyt`` on the line where component ``free_param`` of tau
+    is free, from (x, y) = ``seed``, by default the (0, lam/3) of the public
+    entry points.  Returns x, y, the parameters, the steps and the relative
+    residuals; a row that is not solved raises NumericError naming ``what``.
     """
     tau = tuple(float(v) for v in tau)
     if not 0 <= free_param < polys[0].nparams:
@@ -489,31 +547,19 @@ def _newton_xyt(polys: list, tau, free_param: int, seed, max_iter: int,
         if free_param != 1 or tau[0] == 0.0:
             raise InputError("no default seed for this configuration; pass one")
         seed = (0.0, tau[0] / 3.0)
-    polys_t = [p.diff_param(free_param) for p in polys]
+    unit = tuple(float(k == free_param) for k in range(len(tau)))
 
-    def system(states):
-        F = np.empty((len(states), 3))
-        J = np.empty((len(states), 3, 3))
-        for r, (x, y, t) in enumerate(states):
-            params = list(tau)
-            params[free_param] = t
-            for i, (p, pt) in enumerate(zip(polys, polys_t)):
-                q = p.substitute_params(params)
-                F[r, i] = q.eval(x, y)
-                J[r, i] = (q.diff("x").eval(x, y), q.diff("y").eval(x, y),
-                           pt.substitute_params(params).eval(x, y))
-        return F, J
+    def line(t):
+        return tau[:free_param] + (t,) + tau[free_param + 1:], unit
 
-    max_step = 0.5 * max(abs(tau[0]), abs(tau[1]), 1e-6) + 0.1
-    state, converged, steps = newton(system, [[seed[0], seed[1], tau[free_param]]],
-                                     tol=1e-15, max_iter=max_iter, max_step=max_step)
-    if not converged[0] and steps[0] < max_iter:
-        raise NumericError(f"{what} iteration stopped after {steps[0]} steps: "
-                           f"singular system or a step longer than {max_step:.3g}")
-    x, y, t = (float(c) for c in state[0])
-    params = list(tau)
-    params[free_param] = t
-    return x, y, params, int(steps[0])
+    state, solved, steps, rel = _newton_xyt(
+        polys, line, [(seed[0], seed[1], tau[free_param])], max_iter=max_iter,
+        max_step=0.5 * max(abs(tau[0]), abs(tau[1]), 1e-6) + 0.1)
+    if not solved[0]:
+        raise NumericError(f"{what} iteration failed after {steps[0]} steps: "
+                           f"relative residuals {rel[0].tolist()}")
+    x, y, t = state[0].tolist()
+    return x, y, line(t)[0], int(steps[0]), rel[0]
 
 
 def _classify_on_level(family: SurfaceFamily, x: float, y: float, params) -> tuple:
@@ -539,17 +585,11 @@ def vertex_set_self_intersection(family: SurfaceFamily, tau, *,
     the free parameter is the second one.
     """
     vp = build_vertex_function(family)
-    x, y, params, iterations = _newton_xyt([vp, vp.diff("x"), vp.diff("y")], tau,
-                                           free_param, seed, max_iter, "node")
+    x, y, params, iterations, _ = _solve_on_line([vp, vp.diff("x"), vp.diff("y")], tau,
+                                                 free_param, seed, max_iter, "node")
     v = vp.substitute_params(params)
-    vscale = v.bound_on_disc(2.0 * math.hypot(x, y))
     vres = abs(v.eval(x, y))
     gres = math.hypot(v.diff("x").eval(x, y), v.diff("y").eval(x, y))
-    if vres > 1e-8 * max(vscale, 1e-300):
-        raise NumericError(
-            f"node iteration did not converge: |V| = {vres:.3e} "
-            f"against scale {vscale:.3e}"
-        )
     k_si, record = _classify_on_level(family, x, y, params)
     return SelfIntersection(point=(x, y), tau=tuple(params), level=k_si,
                             record=record, vertex_residual=float(vres),
@@ -573,19 +613,9 @@ def two_degenerate_vertex(family: SurfaceFamily, tau, *, free_param: int = 1,
         chain = kappa_derivative_polys(family.f, 3)
         family.cache[key] = chain
     polys = [chain[1][0], chain[2][0], chain[3][0]]
-    x, y, params, iterations = _newton_xyt(polys, tau, free_param, seed, max_iter,
-                                           "degenerate-vertex")
-    r2 = 2.0 * math.hypot(x, y)
-    residuals = []
-    for p in polys:
-        q = p.substitute_params(params)
-        residuals.append(abs(q.eval(x, y)) / max(q.bound_on_disc(r2), 1e-300))
-    if max(residuals) > 1e-8:
-        raise NumericError(
-            f"degenerate-vertex iteration did not converge: relative "
-            f"residuals {residuals}"
-        )
+    x, y, params, iterations, residuals = _solve_on_line(polys, tau, free_param, seed,
+                                                         max_iter, "degenerate-vertex")
     k_si, record = _classify_on_level(family, x, y, params)
     return DegenerateVertexPoint(point=(x, y), tau=tuple(params), level=k_si,
-                                 record=record, residuals=tuple(residuals),
+                                 record=record, residuals=tuple(residuals.tolist()),
                                  iterations=iterations)

@@ -27,6 +27,7 @@ from vertexset import (
     two_degenerate_vertex,
     vertex_set_self_intersection,
 )
+from vertexset import bifurcation
 from vertexset.poly import NVarPoly
 
 # frozen against this build; anchors at the default working circle R=0.1
@@ -170,6 +171,27 @@ class TestDiscriminantScan:
     def test_metadata_records_tolerances(self, scan03):
         for key in ("r_param", "radius", "resolution", "refine_deg"):
             assert key in scan03.metadata
+
+    def test_angles_do_not_depend_on_the_coarse_step(self, fam, scan03):
+        # the angles are solved nodes, not bisected grid points
+        coarse6 = discriminant_angles(fam, 0.03, coarse_deg=6.0)
+        assert coarse6.angles == pytest.approx(scan03.angles, abs=1e-9)
+
+    def test_nodes_on_the_axis_when_a_is_zero(self):
+        # this family's nodes lie exactly on theta = 0 and 180 deg
+        fam0 = make_canonical_family(0, Fraction(-1, 2), Fraction(3, 2))
+        angles = discriminant_angles(fam0, 0.02, coarse_deg=3.0).angles
+        assert len(angles) == 6
+        assert all(0.0 <= a < 360.0 for a in angles)
+        for want in (0.0, 180.0):
+            assert min(_circ_dist(a, want) for a in angles) < 1e-9
+
+    def test_failed_node_raises_naming_its_bracket(self, fam, monkeypatch):
+        monkeypatch.setattr(bifurcation, "_node_seed",
+                            lambda v, r_param: np.array([3.0, -3.0]))
+        with pytest.raises(NumericError,
+                           match=r"label change in \[\d+\.\d+, \d+\.\d+\] deg"):
+            discriminant_angles(fam, 0.03, coarse_deg=6.0)
 
     def test_bad_args(self, fam):
         with pytest.raises(InputError):
