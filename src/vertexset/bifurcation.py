@@ -49,6 +49,14 @@ WORK_RADIUS = 0.1
 WORK_RESOLUTION = 384
 # k* at |tau| = r is sought between these multiples of r^2
 KSTAR_BRACKET = (0.02, 2.0)
+# least angles, in degrees, from the discriminant tangent directions
+# (multiples of 60 degrees): of a k* sample and of a pairing-flip path
+KSTAR_MARGIN_DEG = 5.0
+FLIP_MIN_SEP_DEG = 10.0
+# a cusp turns by more than both of these: CUSP_SPIKE_FACTOR times the
+# median turn, and CUSP_MIN_TURN radians
+CUSP_SPIKE_FACTOR = 6.0
+CUSP_MIN_TURN = 0.35
 
 
 # -- result containers ---------------------------------------------------------
@@ -271,21 +279,20 @@ def discriminant_angles(family: SurfaceFamily, r_param: float = 0.03, *,
 
 
 def pairing_flip_1param(family: SurfaceFamily, theta_deg: float,
-                        t0: float = 0.03, *, min_sep_deg: float = 10.0,
-                        radius: float = WORK_RADIUS,
+                        t0: float = 0.03, *, radius: float = WORK_RADIUS,
                         resolution: int = WORK_RESOLUTION) -> PairingFlip:
     """Pairing labels at the two ends of the path tau = t*(cos, sin), |t| <= t0.
 
-    The direction must keep at least ``min_sep_deg`` away from the
+    The direction must keep at least ``FLIP_MIN_SEP_DEG`` away from the
     discriminant tangent directions (multiples of 60 degrees); crossing the
     umbilic along such a path shifts the pairing label by exactly three
     sectors, and a violation raises.
     """
     if t0 <= 0:
         raise InputError("t0 must be positive")
-    if _dist_to_multiple(theta_deg) < min_sep_deg:
+    if _dist_to_multiple(theta_deg) < FLIP_MIN_SEP_DEG:
         raise InputError(
-            f"direction {theta_deg} deg is within {min_sep_deg} deg of a "
+            f"direction {theta_deg} deg is within {FLIP_MIN_SEP_DEG} deg of a "
             f"discriminant tangent line"
         )
     th = math.radians(theta_deg)
@@ -308,12 +315,11 @@ def pairing_flip_1param(family: SurfaceFamily, theta_deg: float,
 
 
 def kstar_field(family: SurfaceFamily, taus, *, resolution: int = 256,
-                rel_tol: float = 1e-4, margin_deg: float = 5.0,
-                bracket: tuple = KSTAR_BRACKET) -> ScanResult:
+                rel_tol: float = 1e-4) -> ScanResult:
     """Transition level k* at each parameter sample, with k*/r^2 diagnostics.
 
     Samples must avoid the discriminant tangent directions by
-    ``margin_deg`` and may not include the umbilic itself; those are
+    ``KSTAR_MARGIN_DEG`` and may not include the umbilic itself; those are
     precondition violations.  Per-sample numerical failures are recorded in
     the sample instead of raised.
     """
@@ -323,9 +329,9 @@ def kstar_field(family: SurfaceFamily, taus, *, resolution: int = 256,
         if r == 0.0:
             raise InputError("the umbilic tau = (0, 0) has no transition level")
         theta = math.degrees(math.atan2(t[1], t[0]))
-        if _dist_to_multiple(theta) < margin_deg:
+        if _dist_to_multiple(theta) < KSTAR_MARGIN_DEG:
             raise InputError(
-                f"sample {t} lies within {margin_deg} deg of a discriminant "
+                f"sample {t} lies within {KSTAR_MARGIN_DEG} deg of a discriminant "
                 f"tangent direction"
             )
     samples = []
@@ -333,7 +339,7 @@ def kstar_field(family: SurfaceFamily, taus, *, resolution: int = 256,
     for t in taus:
         r = math.hypot(*t)
         theta = math.degrees(math.atan2(t[1], t[0])) % 360.0
-        k_range = (bracket[0] * r * r, bracket[1] * r * r)
+        k_range = (KSTAR_BRACKET[0] * r * r, KSTAR_BRACKET[1] * r * r)
         tol = {"resolution": resolution, "rel_tol": rel_tol, "bracket": k_range}
         try:
             res = LevelAnalyzer(family.f_at(t)).count_transition(
@@ -348,7 +354,7 @@ def kstar_field(family: SurfaceFamily, taus, *, resolution: int = 256,
             samples.append(ScanSample(tau=t, error=f"{type(e).__name__}: {e}",
                                       tolerances=tol))
     metadata = {"family": repr(family), "resolution": resolution,
-                "rel_tol": rel_tol, "margin_deg": margin_deg,
+                "rel_tol": rel_tol, "margin_deg": KSTAR_MARGIN_DEG,
                 "model": "kstar ~= Q(theta) * r^2",
                 "q_by_angle": {a: (min(v), max(v)) for a, v in q_by_angle.items()}}
     return ScanResult(samples=samples, metadata=metadata)
@@ -436,14 +442,13 @@ def cup_section(family: SurfaceFamily, k: float, r_max: float, *,
                       partial=partial, metadata=metadata)
 
 
-def detect_polyline_cusps(pts: np.ndarray, *, spike_factor: float = 6.0,
-                          min_turn: float = 0.35) -> list:
+def detect_polyline_cusps(pts: np.ndarray) -> list:
     """Indices of turning-angle spikes of a cyclic polyline.
 
     The turning angle at each point compares the incoming and outgoing
-    segment directions; spikes above ``spike_factor`` times the median and
-    above ``min_turn`` radians mark cusps.  Adjacent spikes merge into one
-    cusp at the largest turn.
+    segment directions; spikes above ``CUSP_SPIKE_FACTOR`` times the median
+    and above ``CUSP_MIN_TURN`` radians mark cusps.  Adjacent spikes merge
+    into one cusp at the largest turn.
     """
     pts = np.asarray(pts, dtype=float)
     if len(pts) >= 2 and np.allclose(pts[0], pts[-1]):
@@ -456,7 +461,7 @@ def detect_polyline_cusps(pts: np.ndarray, *, spike_factor: float = 6.0,
     turn = np.abs(np.array([wrap_angle(a) for a in np.roll(ang, -1) - ang]))
     # turn[i] sits at vertex i+1
     med = float(np.median(turn))
-    thresh = max(spike_factor * med, min_turn)
+    thresh = max(CUSP_SPIKE_FACTOR * med, CUSP_MIN_TURN)
     hot = turn > thresh
     if not hot.any():
         return []
@@ -504,26 +509,24 @@ def _newton_xyt(polys: list, path, seeds, *, max_iter: int,
 
     ``path(t)`` gives tau(t) and dtau/dt, so the Jacobian's t column is
     sum_k dtau_k/dt dp/dtau_k; a line in tau has a unit dtau/dt, a circle a
-    tangent one.  ``seeds`` are rows (x, y, t), solved in one batch.  A row
-    is solved when Newton converged and every |p| at the solution is at
-    most 1e-8 bound_on_disc(2 |(x, y)|) of p there.  Returns the states,
-    the solved flags, the step counts and the relative residuals
-    |p| / bound_on_disc, one row each.
+    tangent one.  ``seeds`` are rows (x, y, t), solved in one batch: the
+    x, y and parameter derivatives of every p are built once, and each
+    Newton step evaluates them all at the rows (x, y, tau(t)) with one
+    ``eval_grid`` call each.  A row is solved when Newton converged and
+    every |p| at the solution is at most 1e-8 bound_on_disc(2 |(x, y)|) of
+    p there.  Returns the states, the solved flags, the step counts and
+    the relative residuals |p| / bound_on_disc, one row each.
     """
-    dpolys = [[p.diff_param(k) for k in range(p.nparams)] for p in polys]
+    parts = [[p, p.diff("x"), p.diff("y")] + [p.diff_param(k) for k in range(p.nparams)]
+             for p in polys]
 
     def system(states):
-        F = np.empty((len(states), 3))
-        J = np.empty((len(states), 3, 3))
-        for r, (x, y, t) in enumerate(states):
-            tau, dtau = path(t)
-            for i, (p, dp) in enumerate(zip(polys, dpolys)):
-                q = p.substitute_params(tau)
-                F[r, i] = q.eval(x, y)
-                J[r, i] = (q.diff("x").eval(x, y), q.diff("y").eval(x, y),
-                           sum(d * dpk.substitute_params(tau).eval(x, y)
-                               for d, dpk in zip(dtau, dp) if d))
-        return F, J
+        x, y, t = states.T
+        tau, dtau = (np.array(a).T for a in zip(*map(path, t)))
+        vals = np.array([[q.eval_grid(x, y, *tau) for q in qs] for qs in parts])
+        J = np.stack([vals[:, 1], vals[:, 2], np.einsum("ikr,kr->ir", vals[:, 3:], dtau)],
+                     axis=-1)
+        return vals[:, 0].T, J.transpose(1, 0, 2)
 
     state, converged, steps = newton(system, np.reshape(seeds, (-1, 3)), tol=1e-15,
                                      max_iter=max_iter, max_step=max_step)
@@ -602,7 +605,8 @@ def two_degenerate_vertex(family: SurfaceFamily, tau, *, free_param: int = 1,
 
     Newton iteration on the first three tangential curvature derivative
     numerators over (x, y, t), with t replacing component ``free_param`` of
-    tau.  The solution is the cuspidal configuration at which three
+    tau; the chain is built once per family, in floats from the family's
+    coefficients.  The solution is the cuspidal configuration at which three
     vertices of the transition collapse at once; it coincides with the
     vertex-set self-intersection up to corrections of higher order in tau,
     so the two solvers cross-validate each other.
@@ -610,8 +614,8 @@ def two_degenerate_vertex(family: SurfaceFamily, tau, *, free_param: int = 1,
     key = "kappa_chain_3"
     chain = family.cache.get(key)
     if chain is None:
-        chain = kappa_derivative_polys(family.f, 3)
-        family.cache[key] = chain
+        f = family.f._with({k: float(c) for k, c in family.f.terms.items()})
+        chain = family.cache[key] = kappa_derivative_polys(f, 3)
     polys = [chain[1][0], chain[2][0], chain[3][0]]
     x, y, params, iterations, residuals = _solve_on_line(polys, tau, free_param, seed,
                                                          max_iter, "degenerate-vertex")

@@ -6,11 +6,16 @@ Polynomials in the deformation parameters alone are plain ``NVarPoly``
 values.  Two subclasses read variables 0 and 1 as the surface variables
 x and y:
 
-* ``BivarPoly``  polynomial in (x, y) alone, with float evaluation kernels;
+* ``BivarPoly``  polynomial in (x, y) alone, with the lattice kernel
+  ``eval_lattice`` of the tracer;
 * ``ParamPoly``  polynomial in (x, y) and n deformation parameters, i.e. a
   family of surfaces; parameter k is variable 2 + k.
 
 Ring operations return a polynomial of the class of their left operand.
+Every polynomial evaluates through ``NVarPoly``: ``eval`` at one point,
+exactly when the inputs are exact, and ``eval_grid`` in floats on numpy
+arrays through a dense coefficient array, so a family evaluates at
+(x, y, tau) arrays as a surface does at (x, y).
 
 Coefficients stay exact (int / Fraction) as long as every input is exact.
 Operations that introduce irrational data, such as rotation by an arbitrary
@@ -92,7 +97,7 @@ class NVarPoly:
     or floats.
     """
 
-    __slots__ = ("nvars", "terms")
+    __slots__ = ("nvars", "terms", "_dense_cache")
 
     def __init__(self, nvars: int, terms: Mapping | None = None):
         if nvars < 0:
@@ -211,12 +216,6 @@ class NVarPoly:
         """Total degree; -1 for the zero polynomial."""
         return max((sum(k) for k in self.terms), default=-1)
 
-    def degree_part(self, d: int) -> "NVarPoly":
-        """Terms of total degree exactly ``d``."""
-        if d < 0:
-            raise InputError("degree must be nonnegative")
-        return self._with({k: c for k, c in self.terms.items() if sum(k) == d})
-
     def constant_term(self):
         return self.terms.get((0,) * self.nvars, 0)
 
@@ -244,6 +243,44 @@ class NVarPoly:
                     term = term * v**e
             total = total + term
         return total
+
+    def _dense_coeffs(self) -> np.ndarray:
+        """Float coefficients as a dense array, C[e] that of the monomial
+        with exponents e, cached (the slot stays unset until the first call)."""
+        c = getattr(self, "_dense_cache", None)
+        if c is None:
+            c = np.zeros(tuple(max(col) + 1 for col in zip(*self.terms)) or (1,) * self.nvars)
+            for k, v in self.terms.items():
+                c[k] = float(v)
+            self._dense_cache = c
+        return c
+
+    def eval_grid(self, *values) -> np.ndarray:
+        """Vectorized float evaluation at numpy arrays of broadcastable
+        shapes, one per variable.
+
+        Evaluates through the dense coefficient array C (built on first
+        use): the powers of the last variable fill an (n_last, N) array by
+        repeated multiplication, one matrix product contracts the last axis
+        of C with them, and Horner's rule removes the other variables one
+        at a time, first to last.  The result has the broadcast shape of
+        the inputs.
+        """
+        vals = [np.asarray(v, dtype=np.float64) for v in values]
+        if len(vals) != self.nvars:
+            raise InputError(f"expected {self.nvars} arrays, got {len(vals)}")
+        if any(v.shape != vals[0].shape for v in vals):
+            vals = np.broadcast_arrays(*vals)
+        c = self._dense_coeffs()
+        t = c @ _power_rows(vals[-1].ravel(), c.shape[-1])
+        for v in vals[:-1]:
+            x = v.ravel()
+            out = t[-1].copy()
+            for row in t[-2::-1]:
+                out *= x
+                out += row
+            t = out
+        return t.reshape(vals[0].shape)
 
     def substitute(self, mapping: Mapping[int, "NVarPoly | Scalar"]) -> "NVarPoly":
         """Replace variables by polynomials over the same variables, or by
@@ -334,7 +371,7 @@ class _PlaneView:
 class BivarPoly(_PlaneView, NVarPoly):
     """Sparse polynomial in the surface variables (x, y)."""
 
-    __slots__ = ("_dense_cache",)
+    __slots__ = ()
 
     def __init__(self, terms: Mapping | None = None):
         super().__init__(2, terms)
@@ -378,47 +415,10 @@ class BivarPoly(_PlaneView, NVarPoly):
     # -- evaluation ------------------------------------------------------
 
     def eval(self, x, y):
-        x = _exact_or_float(x)
-        y = _exact_or_float(y)
-        total = 0
-        for (i, j), c in self.terms.items():
-            total = total + c * x**i * y**j
-        return total
+        return NVarPoly.eval(self, (x, y))
 
-    def _dense_coeffs(self) -> np.ndarray:
-        """Float coefficients as a dense matrix C[i, j] of x^i y^j, cached
-        (the slot stays unset until the first call)."""
-        c = getattr(self, "_dense_cache", None)
-        if c is None:
-            nx = max((i for i, _ in self.terms), default=0) + 1
-            ny = max((j for _, j in self.terms), default=0) + 1
-            c = np.zeros((nx, ny), dtype=np.float64)
-            for (i, j), v in self.terms.items():
-                c[i, j] = float(v)
-            self._dense_cache = c
-        return c
-
-    def eval_grid(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-        """Vectorized float evaluation on numpy arrays of broadcastable shapes.
-
-        Evaluates through the dense coefficient matrix C (built on first
-        use): the powers of y fill an (n_y, N) array by repeated
-        multiplication, one matrix product turns them into the N values of
-        the x-polynomial coefficients sum_j C[i, j] y^j, and Horner's rule
-        in x finishes.  The result has the broadcast shape of X and Y.
-        """
-        X = np.asarray(X, dtype=np.float64)
-        Y = np.asarray(Y, dtype=np.float64)
-        if X.shape != Y.shape:
-            X, Y = np.broadcast_arrays(X, Y)
-        x = X.ravel()
-        c = self._dense_coeffs()
-        t = c @ _power_rows(Y.ravel(), c.shape[1])
-        out = t[-1].copy()
-        for row in t[-2::-1]:
-            out *= x
-            out += row
-        return out.reshape(X.shape)
+    # bench/layers.py times eval_grid through this class's own binding
+    eval_grid = NVarPoly.eval_grid
 
     def eval_lattice(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         """Float values on the lattice of two axes: Z[i, j] = p(xs[i], ys[j]).

@@ -40,6 +40,7 @@ from .util import wrap_angle
 TRACE_TOL = 1e-10
 GRAD_FLOOR = 1e-9
 MIN_RESOLUTION = 16
+PROJECTION_STEPS = 8
 
 
 class PolyField:
@@ -180,13 +181,12 @@ def critical_system(field: PolyField):
 
 
 def project_to_zero_set(field: PolyField, pts: np.ndarray, *, tol: float = 1e-14,
-                        step_cap: float = math.inf, grad_floor: float = GRAD_FLOOR,
-                        iters: int = 8) -> tuple:
+                        step_cap: float = math.inf, grad_floor: float = GRAD_FLOOR) -> tuple:
     """Newton-project an (n, 2) array of points onto F = 0 along grad F.
 
     Each point stops on its own: after the step taken from within ``tol``
     of the zero set, without stepping where its gradient is below
-    ``grad_floor``, or after ``iters`` steps.  Steps longer than
+    ``grad_floor``, or after ``PROJECTION_STEPS`` steps.  Steps longer than
     ``step_cap`` are shortened to it.  Returns the points and the residuals
     |F| / max(|grad F|, grad_floor) at them, each with the gradient norm of
     its last evaluation.
@@ -194,7 +194,7 @@ def project_to_zero_set(field: PolyField, pts: np.ndarray, *, tol: float = 1e-14
     p = np.array(pts, dtype=float)
     gnorm = np.full(len(p), grad_floor)
     active = np.ones(len(p), dtype=bool)
-    for _ in range(iters):
+    for _ in range(PROJECTION_STEPS):
         idx = np.flatnonzero(active)
         if not len(idx):
             break

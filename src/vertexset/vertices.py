@@ -35,13 +35,15 @@ from .errors import (
     NumericError,
 )
 from .poly import BivarPoly
-from .tracer import (GRAD_FLOOR, TRACE_TOL, PolyField, critical_system,
+from .tracer import (GRAD_FLOOR, PolyField, critical_system,
                      distinct_rows, newton, polish_crossings,
                      project_to_zero_set, trace_zero_set)
 from .vertexfn import kappa_derivative_polys, vertex_poly
 
 DEG_TOL = 1e-4
 FD_STEP_FACTOR = 1e-3
+# vertex counts below and above the transition level k*
+TRANSITION_COUNTS = (4, 6)
 
 
 @dataclass(frozen=True)
@@ -109,11 +111,10 @@ class LevelAnalyzer:
     with ``classify=False`` builds neither.
     """
 
-    def __init__(self, f: BivarPoly, *, grad_floor: float = GRAD_FLOOR):
+    def __init__(self, f: BivarPoly):
         if not isinstance(f, BivarPoly):
             raise InputError("LevelAnalyzer works on a single surface polynomial")
         self.f = f
-        self.grad_floor = grad_floor
         self.field_f = PolyField(f)
         self.vpoly = vertex_poly(f)
         self.field_v = PolyField(self.vpoly)
@@ -146,7 +147,7 @@ class LevelAnalyzer:
         """kappa and tangential derivatives 1..order at points, columns j=0..order."""
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         g = self.g_poly.eval_grid(pts[:, 0], pts[:, 1])
-        g = np.maximum(g, self.grad_floor ** 2)
+        g = np.maximum(g, GRAD_FLOOR ** 2)
         out = np.empty((len(pts), order + 1))
         chain = self._kappa0 if order == 0 else self.kappa_polys[:order + 1]
         for j, (p, e) in enumerate(chain):
@@ -155,8 +156,7 @@ class LevelAnalyzer:
 
     # -- tracing a level -----------------------------------------------------
 
-    def trace_level(self, k: float, *, resolution: int = 384,
-                    window: float = 0.6, trace_tol: float = TRACE_TOL):
+    def trace_level(self, k: float, *, resolution: int = 384, window: float = 0.6):
         """Trace f = k adaptively: grow the disc until the curve closes."""
         k = float(k)
         e_min = self.quad_eigs[0]
@@ -170,8 +170,7 @@ class LevelAnalyzer:
             r = window
         level_poly = self.f - k
         while True:
-            tr = trace_zero_set(PolyField(level_poly), r, resolution,
-                                trace_tol=trace_tol)
+            tr = trace_zero_set(PolyField(level_poly), r, resolution)
             if not any(c.boundary_hits for c in tr.curves) and tr.curves:
                 break
             if r >= window or not tr.curves:
@@ -185,33 +184,29 @@ class LevelAnalyzer:
     # -- the census -----------------------------------------------------------
 
     def census(self, k: float, *, resolution: int = 384, window: float = 0.6,
-               deg_tol: float = DEG_TOL, trace_tol: float = TRACE_TOL,
                classify: bool = True) -> LevelCensus:
         """Count and classify the vertices of the level curve f = k."""
-        tr, radius = self.trace_level(k, resolution=resolution, window=window,
-                                      trace_tol=trace_tol)
-        vertices, _, vmax = _roots_along(tr.curves, PolyField(self.f - k),
-                                         self.field_v, self.grad_floor)
+        tr, radius = self.trace_level(k, resolution=resolution, window=window)
+        vertices, _, vmax = _roots_along(tr.curves, PolyField(self.f - k), self.field_v)
         if vmax < 1e-13 * max(self.vpoly.bound_on_disc(radius), 1e-300):
             raise DegenerateLevelError(
                 "vertex function vanishes along the whole level curve; "
                 "every point is a vertex"
             )
-        records = self._records(vertices, k, radius, deg_tol, classify)
+        records = self._records(vertices, k, radius, classify)
         return LevelCensus(level=k, vertex_count=len(records), records=records,
                            closed=all(c.closed for c in tr.curves),
                            trace_radius=radius,
                            residual_bound=max((c.residual_bound
                                                for c in tr.curves), default=0.0))
 
-    def _records(self, pts: np.ndarray, k: float, radius: float, deg_tol: float,
-                 classify: bool) -> tuple:
+    def _records(self, pts: np.ndarray, k: float, radius: float, classify: bool) -> tuple:
         if not len(pts):
             return ()
         d = self.kappa_derivatives(pts, order=4 if classify else 0)
         if classify:
             scales = self._derivative_scales(k, radius)
-            kinds = [_classify_from_derivatives(dp[1:], scales, deg_tol) for dp in d]
+            kinds = [_classify_from_derivatives(dp[1:], scales) for dp in d]
         else:
             kinds = [("unchecked", "none")] * len(pts)
         return tuple(VertexRecord(point=(float(p[0]), float(p[1])), level=k,
@@ -226,8 +221,7 @@ class LevelAnalyzer:
             return s
         ring = np.linspace(0, 2 * math.pi, 96, endpoint=False)
         seeds = radius * 0.7 * np.column_stack([np.cos(ring), np.sin(ring)])
-        q, _ = project_to_zero_set(PolyField(self.f - k), seeds,
-                                   grad_floor=self.grad_floor)
+        q, _ = project_to_zero_set(PolyField(self.f - k), seeds)
         on = np.abs(self.field_f.values(q) - k) < 1e-9 * max(abs(k), 1e-9)
         if on.sum() < 8:
             raise NumericError("could not sample the level curve for scaling")
@@ -240,8 +234,6 @@ class LevelAnalyzer:
     # -- degeneracy classification -------------------------------------------
 
     def classify_vertex(self, point, level: float, *, method: str = "exact",
-                        h_factor: float = FD_STEP_FACTOR,
-                        deg_tol: float = DEG_TOL,
                         window: float = 0.6) -> VertexRecord:
         """Classify one vertex; ``method`` "exact" uses the derivative chain,
         "fd" differentiates the curvature along the curve numerically."""
@@ -253,20 +245,19 @@ class LevelAnalyzer:
             derivs = d[1:]
             kappa = float(d[0])
         elif method == "fd":
-            kappa, derivs = self._fd_derivatives(p, level, radius, h_factor)
+            kappa, derivs = self._fd_derivatives(p, level, radius)
         else:
             raise InputError(f"unknown classification method {method!r}")
-        deg, extremum = _classify_from_derivatives(derivs, scales, deg_tol)
+        deg, extremum = _classify_from_derivatives(derivs, scales)
         return VertexRecord(point=(float(p[0]), float(p[1])), level=level,
                             kappa=kappa, degeneracy=deg, extremum=extremum)
 
-    def _fd_derivatives(self, p: np.ndarray, k: float, radius: float,
-                        h_factor: float):
+    def _fd_derivatives(self, p: np.ndarray, k: float, radius: float):
         """Walk the level curve through p and fit curvature against arclength."""
         # the curve carries about three curvature oscillations, so one
         # oscillation spans roughly circumference / 3; step a small fraction
         circumference = 2 * math.pi * radius * 0.85
-        h = max(h_factor, 1e-6) * circumference / (6 * math.pi) * 40
+        h = FD_STEP_FACTOR * circumference / (6 * math.pi) * 40
         center = np.array(p, float)
         level = PolyField(self.f - k)
         sides = {}
@@ -277,8 +268,7 @@ class LevelAnalyzer:
                 g = self.field_f.grads(q[None, :])[0]
                 t = np.array([-g[1], g[0]])
                 t /= max(np.linalg.norm(t), 1e-300)
-                q = project_to_zero_set(level, (q + direction * h * t)[None, :],
-                                        grad_floor=self.grad_floor)[0][0]
+                q = project_to_zero_set(level, (q + direction * h * t)[None, :])[0][0]
                 walked.append(q.copy())
             sides[direction] = walked
         ordered = list(reversed(sides[-1.0])) + [center] + sides[1.0]
@@ -307,10 +297,8 @@ class LevelAnalyzer:
         """
         _, radius = self.trace_level(k_hi, resolution=resolution, window=window)
         tr = trace_zero_set(self.field_v, radius, resolution)
-        pts, ok, _ = _roots_along(tr.curves, self.field_v, self.field_w,
-                                  self.grad_floor)
-        pts = pts[ok & (self.g_poly.eval_grid(pts[:, 0], pts[:, 1])
-                        > self.grad_floor ** 2)]
+        pts, ok, _ = _roots_along(tr.curves, self.field_v, self.field_w)
+        pts = pts[ok & (self.g_poly.eval_grid(pts[:, 0], pts[:, 1]) > GRAD_FLOOR ** 2)]
         levels = self.field_f.values(pts)
         gv, gw = self.field_v.grads(pts), self.field_w.grads(pts)
         births = gw[:, 0] * gv[:, 1] - gw[:, 1] * gv[:, 0] > 0
@@ -319,11 +307,9 @@ class LevelAnalyzer:
                        for p, lv, b in zip(pts, levels, births) if lv < k_hi),
                       key=lambda fd: fd.level)
 
-    def count_transition(self, k_lo: float, k_hi: float, *,
-                         counts: tuple = (4, 6), resolution: int = 256,
-                         rel_tol: float = 1e-4, window: float = 0.6,
-                         deg_tol: float = DEG_TOL) -> KStarResult:
-        """Find the level k* where the vertex count steps from counts[0] to [1].
+    def count_transition(self, k_lo: float, k_hi: float, *, resolution: int = 256,
+                         rel_tol: float = 1e-4, window: float = 0.6) -> KStarResult:
+        """Find the level k* where the vertex count steps from 4 to 6.
 
         k* is the lowest birth fold of f on V = 0 in (k_lo, k_hi) (see
         ``folds``).  Two censuses confirm the counts, one at the geometric
@@ -350,13 +336,13 @@ class LevelAnalyzer:
         bracket = (math.sqrt(lower * kstar), math.sqrt(kstar * upper))
         seen = tuple(self.census(k, resolution=resolution, window=window,
                                  classify=False).vertex_count for k in bracket)
-        if seen != tuple(counts):
+        if seen != TRANSITION_COUNTS:
             raise NoTransitionError(f"counts {seen} across the birth fold at "
-                                    f"k = {kstar:.6e}, expected {tuple(counts)}")
-        rec = self.classify_vertex(folds[i].point, kstar, deg_tol=deg_tol)
+                                    f"k = {kstar:.6e}, expected {TRANSITION_COUNTS}")
+        rec = self.classify_vertex(folds[i].point, kstar)
         return KStarResult(kstar=kstar, merge_point=folds[i].point,
-                           bracket=bracket, count_low=counts[0],
-                           count_high=counts[1], degeneracy=rec.degeneracy)
+                           bracket=bracket, count_low=TRANSITION_COUNTS[0],
+                           count_high=TRANSITION_COUNTS[1], degeneracy=rec.degeneracy)
 
     # -- critical points of the surface ------------------------------------------
 
@@ -392,8 +378,7 @@ class LevelAnalyzer:
         return found
 
 
-def _roots_along(curves: list, field_a: PolyField, field_b: PolyField,
-                 grad_floor: float) -> tuple:
+def _roots_along(curves: list, field_a: PolyField, field_b: PolyField) -> tuple:
     """Sign changes of B along the traced curves of A = 0, polished on
     (A, B) = 0 and deduped: the points, their convergence flags, and the
     largest |B| at the curve points."""
@@ -408,16 +393,14 @@ def _roots_along(curves: list, field_a: PolyField, field_b: PolyField,
         starts.append(pts[i])
         ends.append(pts[i + 1])
     pts, ok = polish_crossings(field_a, field_b, np.vstack(starts),
-                               np.vstack(ends), tol=1e-14, max_iter=12,
-                               grad_floor=grad_floor)
+                               np.vstack(ends), tol=1e-14, max_iter=12)
     keep = distinct_rows(pts, 1e-11)
     return pts[keep], ok[keep], bmax
 
 
-def _classify_from_derivatives(derivs: np.ndarray, scales: np.ndarray,
-                               deg_tol: float) -> tuple:
+def _classify_from_derivatives(derivs: np.ndarray, scales: np.ndarray) -> tuple:
     """Degeneracy and extremum type from tangential derivatives 1..4."""
-    small = [abs(float(derivs[j])) < deg_tol * float(scales[j])
+    small = [abs(float(derivs[j])) < DEG_TOL * float(scales[j])
              for j in range(4)]
     if not small[1]:
         deg = 0

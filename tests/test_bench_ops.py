@@ -1,10 +1,11 @@
-"""The cup-fan, kstar-rays and disc-circle benchmark ops, run in-process
-with their oracles on the first input of seed 0.
+"""The four benchmark ops (cup-fan, kstar-rays, disc-circle and
+census-queries), run in-process with their oracles on the first input of
+seed 0.
 
 The benchmark harness under ``bench/`` is kept fixed, so the keyword
 arguments it passes (``bisect_steps``, ``rel_tol``, ``resolution``,
-``coarse_deg``, ``refine_deg``) must keep working; this catches a change
-that breaks them without a bench run.
+``window``, ``coarse_deg``, ``refine_deg``) must keep working; this
+catches a change that breaks them without a bench run.
 """
 
 import sys
@@ -18,7 +19,8 @@ import vertexset as vs  # noqa: E402
 import workloads  # noqa: E402
 
 
-@pytest.mark.parametrize("name", ["cup-fan", "kstar-rays", "disc-circle"])
+@pytest.mark.parametrize("name", ["cup-fan", "kstar-rays", "disc-circle",
+                                  "census-queries"])
 def test_op_passes_its_oracle(name):
     w = workloads.WORKLOADS[name]
     fam = vs.surface.make_canonical_family(1, 0, 2)

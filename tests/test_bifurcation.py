@@ -20,6 +20,7 @@ from vertexset import (
     cup_section,
     detect_polyline_cusps,
     discriminant_angles,
+    kappa_derivative_polys,
     kstar_field,
     make_canonical_family,
     pairing_flip_1param,
@@ -347,6 +348,75 @@ class TestCupSectionSmoke:
             cup_section(fam, 1e-4, 0.1, r_min=0.2)
         with pytest.raises(InputError):
             cup_section(fam, 1e-4, 0.1, fan=8)
+
+
+def _per_row_system(polys, path, states):
+    """The (x, y, t) system built row by row: substitute tau(t) into every
+    polynomial and its parameter derivatives and evaluate pointwise."""
+    dpolys = [[p.diff_param(k) for k in range(p.nparams)] for p in polys]
+    F = np.empty((len(states), 3))
+    J = np.empty((len(states), 3, 3))
+    for r, (x, y, t) in enumerate(states):
+        tau, dtau = path(t)
+        for i, (p, dp) in enumerate(zip(polys, dpolys)):
+            q = p.substitute_params(tau)
+            F[r, i] = q.eval(x, y)
+            J[r, i] = (q.diff("x").eval(x, y), q.diff("y").eval(x, y),
+                       sum(d * dpk.substitute_params(tau).eval(x, y)
+                           for d, dpk in zip(dtau, dp) if d))
+    return F, J
+
+
+class TestNewtonXytSystem:
+    """The batched system of ``_newton_xyt`` equals the per-row one to
+    1e-12 of the largest magnitude of each entry over the rows."""
+
+    @staticmethod
+    def _system(monkeypatch, polys, path):
+        seen = {}
+
+        def capture(system, x0, **kwargs):
+            seen["system"] = system
+            return x0, np.zeros(len(x0), dtype=bool), np.zeros(len(x0), dtype=int)
+
+        monkeypatch.setattr(bifurcation, "newton", capture)
+        bifurcation._newton_xyt(polys, path, [(0.01, 0.01, 0.0)], max_iter=1,
+                                max_step=1.0)
+        return seen["system"]
+
+    @staticmethod
+    def _assert_close(polys, path, system, states):
+        for new, ref in zip(system(states), _per_row_system(polys, path, states)):
+            assert new.shape == ref.shape
+            scale = np.abs(ref).max(axis=0)
+            assert np.all(np.abs(new - ref) <= 1e-12 * scale)
+
+    def test_circle_path_vertex_system(self, fam, monkeypatch):
+        vp = build_vertex_function(fam)
+        polys = [vp, vp.diff("x"), vp.diff("y")]
+
+        def circle(t):
+            return ((0.03 * math.cos(t), 0.03 * math.sin(t)),
+                    (-0.03 * math.sin(t), 0.03 * math.cos(t)))
+
+        rng = np.random.default_rng(7)
+        states = np.column_stack([rng.uniform(-0.03, 0.03, (20, 2)),
+                                  rng.uniform(0.0, 2.0 * math.pi, 20)])
+        self._assert_close(polys, circle, self._system(monkeypatch, polys, circle),
+                           states)
+
+    def test_line_path_curvature_chain(self, fam, monkeypatch):
+        f = fam.f._with({k: float(c) for k, c in fam.f.terms.items()})
+        chain = kappa_derivative_polys(f, 3)
+        polys = [chain[1][0], chain[2][0], chain[3][0]]
+
+        def line(t):
+            return (0.05, t), (0.0, 1.0)
+
+        rng = np.random.default_rng(11)
+        states = np.column_stack([rng.uniform(-0.03, 0.03, (6, 2)),
+                                  rng.uniform(-0.01, 0.01, 6)])
+        self._assert_close(polys, line, self._system(monkeypatch, polys, line), states)
 
 
 class TestSelfIntersection:

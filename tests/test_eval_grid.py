@@ -1,12 +1,14 @@
-"""Property tests of the dense ``BivarPoly.eval_grid`` and ``eval_lattice``
-kernels.
+"""Property tests of the dense ``eval_grid`` and ``eval_lattice`` kernels.
 
 Both must agree with exact rational evaluation to within
 1e-12 * sum |c| |x|^i |y|^j, the size of the terms they add up, for
 int, Fraction and float coefficients; ``eval_grid`` for every broadcast
-shape, ``eval_lattice`` for axes of any lengths, length 1 included.
+shape, on surfaces (``BivarPoly``) and on families with one or two
+parameters (``ParamPoly`` at (x, y, tau)), ``eval_lattice`` for axes of
+any lengths, length 1 included.
 """
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -15,7 +17,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from vertexset.poly import BivarPoly  # noqa: E402
+from vertexset.poly import BivarPoly, NVarPoly, ParamPoly  # noqa: E402
 
 MAX_DEGREE = 12
 
@@ -61,6 +63,34 @@ def test_eval_grid_matches_exact(p, shapes, seed):
     for idx in np.ndindex(Z.shape):
         exact, scale = exact_and_scale(p, float(Xb[idx]), float(Yb[idx]))
         assert abs(Fraction(float(Z[idx])) - exact) <= Fraction(1e-12) * scale
+
+
+def param_polynomials(nparams: int):
+    """Families with 1 or 2 parameters; every exponent at most
+    MAX_DEGREE / (2 + nparams), so the total degree stays within MAX_DEGREE."""
+    top = MAX_DEGREE // (2 + nparams)
+    keys = st.tuples(*[st.integers(0, top)] * (2 + nparams))
+    return st.dictionaries(keys, coefficients, max_size=14).map(
+        lambda terms: ParamPoly(nparams, terms))
+
+
+families = st.integers(1, 2).flatmap(param_polynomials)
+
+
+@settings(max_examples=200)
+@given(families, sizes, st.booleans(), st.integers(0, 2 ** 32 - 1))
+def test_param_eval_grid_matches_exact(p, n, scalar_tau, seed):
+    rng = np.random.default_rng(seed)
+    x, y = rng.uniform(-1.5, 1.5, size=(2, n))
+    tau = rng.uniform(-1.5, 1.5, size=(p.nparams,) + ((() if scalar_tau else (n,))))
+    Z = p.eval_grid(x, y, *tau)
+    assert Z.shape == (n,)
+    exact_p = NVarPoly(p.nvars, {k: Fraction(c) for k, c in p.terms.items()})
+    for r in range(n):
+        point = [Fraction(float(v)) for v in (x[r], y[r], *(t if scalar_tau else t[r] for t in tau))]
+        scale = sum(abs(Fraction(c)) * math.prod(abs(v) ** e for v, e in zip(point, k))
+                    for k, c in p.terms.items())
+        assert abs(Fraction(float(Z[r])) - exact_p.eval(point)) <= Fraction(1e-12) * scale
 
 
 @pytest.mark.parametrize("sx, sy", [((), ()), ((5,), (5,)), ((3, 4), (3, 4)),

@@ -11,7 +11,7 @@ from vertexset.errors import (
 )
 from vertexset.poly import BivarPoly
 from vertexset.surface import make_canonical_family
-from vertexset.tracer import PolyField, intersect_curves, trace_zero_set
+from vertexset.tracer import GRAD_FLOOR, PolyField, intersect_curves, trace_zero_set
 from vertexset import vertices
 from vertexset.vertices import LevelAnalyzer, vertex_census_sweep
 
@@ -391,7 +391,7 @@ def _polish_vertex_reference(la, pa, pb, k):
             fv = la.field_f.value(p[0], p[1]) - k
             g = la.field_f.grads(p[None, :])[0]
             g2 = float(g @ g)
-            if g2 < la.grad_floor ** 2:
+            if g2 < GRAD_FLOOR ** 2:
                 break
             p = p - (fv / g2) * g
             if abs(fv) / math.sqrt(g2) < 1e-14:
