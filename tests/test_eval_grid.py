@@ -82,12 +82,13 @@ families = st.integers(1, 2).flatmap(param_polynomials)
 def test_param_eval_grid_matches_exact(p, n, scalar_tau, seed):
     rng = np.random.default_rng(seed)
     x, y = rng.uniform(-1.5, 1.5, size=(2, n))
-    tau = rng.uniform(-1.5, 1.5, size=(p.nparams,) + ((() if scalar_tau else (n,))))
+    tau = rng.uniform(-1.5, 1.5, size=(p.nparams,) + (() if scalar_tau else (n,)))
     Z = p.eval_grid(x, y, *tau)
     assert Z.shape == (n,)
     exact_p = NVarPoly(p.nvars, {k: Fraction(c) for k, c in p.terms.items()})
+    tau_rows = np.broadcast_to(tau.T, (n, p.nparams))
     for r in range(n):
-        point = [Fraction(float(v)) for v in (x[r], y[r], *(t if scalar_tau else t[r] for t in tau))]
+        point = [Fraction(float(v)) for v in (x[r], y[r], *tau_rows[r])]
         scale = sum(abs(Fraction(c)) * math.prod(abs(v) ** e for v, e in zip(point, k))
                     for k, c in p.terms.items())
         assert abs(Fraction(float(Z[r])) - exact_p.eval(point)) <= Fraction(1e-12) * scale
