@@ -3,11 +3,17 @@
 The tracer evaluates F on a square lattice as one product of power and
 coefficient matrices (``BivarPoly.eval_lattice``), reads the sign grid
 (marching squares, lattice zeros counted as positive so every cell has an
-even crossing count), links the edge crossings of all cells at once into
-a neighbour array, walks it into chains, sharpens every point with a
-vectorized Newton projection onto the zero set (``project_to_zero_set``),
-and clips the chains to the disc, solving (F, x^2 + y^2 - R^2) = 0 for
-the points where the curves meet the boundary circle.
+even crossing count), links the edge crossings into a neighbour array,
+walks it into chains, sharpens every point with a vectorized Newton
+projection onto the zero set (``project_to_zero_set``), and clips the
+chains to the disc, solving (F, x^2 + y^2 - R^2) = 0 for the points where
+the curves meet the boundary circle.
+
+Linking is narrow-band: the crossing edges are taken from the sign grid as
+sorted flat ids, the cells they border are the only cells visited, and
+each cell finds its crossings by a binary search in those ids.  After the
+lattice and its sign grid, every step costs time and memory in proportion
+to the number of crossings, not to the number of cells.
 
 Common zeros of two traced fields are found by ``polish_crossings``: a
 bracketed secant search along the arcs of one zero set, then a joint
@@ -221,6 +227,11 @@ def trace_zero_set(field: PolyField, radius: float, resolution: int = 512, *,
                    grad_floor: float = GRAD_FLOOR) -> TraceResult:
     """Trace {F = 0} inside the disc of the given radius around the origin.
 
+    The lattice is evaluated and its signs read in full; the crossings
+    are then linked within the band of cells next to a crossing edge
+    (``_band_cells``), so the rest of the trace scales with the length of
+    the zero set, not with the lattice.
+
     ``exclude_radius`` drops all lattice cells within that distance of the
     origin before linking, leaving cut ends for ``origin_branches`` to
     stitch.  Cells where four crossings meet a vanishing gradient and a
@@ -241,11 +252,12 @@ def trace_zero_set(field: PolyField, radius: float, resolution: int = 512, *,
     Z = field.p.eval_lattice(xs, xs)
     S = Z >= 0.0
 
-    cross_x = S[:-1, :] != S[1:, :]          # edge (i,j)-(i+1,j)
-    cross_y = S[:, :-1] != S[:, 1:]          # edge (i,j)-(i,j+1)
-
-    ix, jx = np.nonzero(cross_x)
-    iy, jy = np.nonzero(cross_y)
+    # crossing edges as row-major flat ids: x-edges (i,j)-(i+1,j) of the
+    # (n, n+1) edge grid, y-edges (i,j)-(i,j+1) of the (n+1, n) one
+    ex = np.flatnonzero(S[:-1, :] != S[1:, :])
+    ey = np.flatnonzero(S[:, :-1] != S[:, 1:])
+    ix, jx = np.divmod(ex, n + 1)
+    iy, jy = np.divmod(ey, n)
     with np.errstate(divide="ignore", invalid="ignore"):
         tx = Z[ix, jx] / (Z[ix, jx] - Z[ix + 1, jx])
         ty = Z[iy, jy] / (Z[iy, jy] - Z[iy, jy + 1])
@@ -253,35 +265,30 @@ def trace_zero_set(field: PolyField, radius: float, resolution: int = 512, *,
     py = np.column_stack([xs[iy], xs[jy] + ty * h])
     pos = np.vstack([px, py])
 
-    cnt = (cross_x[:, :-1].astype(np.int8) + cross_x[:, 1:]
-           + cross_y[:-1, :] + cross_y[1:, :])
-    active = cnt >= 2
     centers = 0.5 * (xs[:-1] + xs[1:])
-    cr2 = centers[:, None] ** 2 + centers[None, :] ** 2
-    if exclude_radius > 0:
-        active &= cr2 > exclude_radius * exclude_radius
+    ci, cj, edges = _band_cells(ex, ey, n, centers, exclude_radius)
 
     # decide which four-crossing cells sit on a crossing of the zero set;
     # those are not linked, and the crossing is solved for as a critical
     # point of F
     sing = np.zeros((0, 2))
-    quad = np.argwhere((cnt == 4) & active)
+    quad = np.flatnonzero(edges.min(axis=1) >= 0)
     if len(quad):
-        qc = np.column_stack([centers[quad[:, 0]], centers[quad[:, 1]]])
+        qc = np.column_stack([centers[ci[quad]], centers[cj[quad]]])
         fq = field.values(qc)
         gq = np.linalg.norm(field.grads(qc), axis=1)
         gmed = float(np.median(np.linalg.norm(field.grads(pos), axis=1))) if len(pos) else 1.0
         gmed = max(gmed, grad_floor)
         cells = (gq < 0.35 * gmed) & (np.abs(fq) < 0.5 * gmed * h)
         if exclude_radius > 0:
-            cells &= cr2[quad[:, 0], quad[:, 1]] > (2 * exclude_radius) ** 2
-        active[quad[cells, 0], quad[cells, 1]] = False
+            cells &= qc[:, 0] ** 2 + qc[:, 1] ** 2 > (2 * exclude_radius) ** 2
         if cells.any():
+            ci, cj, edges = (np.delete(a, quad[cells], axis=0) for a in (ci, cj, edges))
             p, ok, _ = newton(critical_system(field), qc[cells],
                               tol=grad_floor * 10, max_iter=15, max_step=1.0)
             sing = p[ok & (np.abs(field.values(p)) < gmed * h)]
 
-    nbr = _link_cells(field, S, cross_x, cross_y, active, centers)
+    nbr = _link_cells(field, S, ci, cj, edges, centers, len(pos))
     pos, residuals = project_to_zero_set(field, pos, tol=trace_tol, step_cap=h,
                                          grad_floor=grad_floor)
 
@@ -309,29 +316,48 @@ def trace_zero_set(field: PolyField, radius: float, resolution: int = 512, *,
                        resolution=n)
 
 
-def _link_cells(field: PolyField, S: np.ndarray, cross_x: np.ndarray,
-                cross_y: np.ndarray, active: np.ndarray,
-                centers: np.ndarray) -> np.ndarray:
-    """Link the edge crossings of the active cells; (n, 2) neighbour ids.
+def _band_cells(ex: np.ndarray, ey: np.ndarray, n: int, centers: np.ndarray,
+                exclude_radius: float) -> tuple:
+    """The cells of the n x n lattice that the zero set crosses.
 
-    Crossing ids number the x-edges of ``cross_x`` and then the y-edges of
-    ``cross_y``, each in row-major order.  A two-crossing cell links its
-    two crossings; a four-crossing cell links them in two pairs chosen by
-    the sign of F at its center.  Row k of the result holds the neighbours
-    of crossing k in link order (cells row-major), -1 where absent; every
-    crossing lies on two cells, so it has at most two.
+    ``ex`` and ``ey`` are the sorted flat ids of the crossing x-edges and
+    y-edges (see ``trace_zero_set``).  The cells are those next to a
+    crossing, in row-major order, less those whose centers lie within
+    ``exclude_radius`` of the origin.  Returns their rows, their columns
+    and their (bottom, top, left, right) crossing ids, -1 where an edge is
+    not crossed; a crossing's id is its position among the x-edge and then
+    the y-edge crossings.  Sign changes around a cell's corners are even,
+    so every cell has two or four crossings.
     """
-    nx = int(np.count_nonzero(cross_x))
-    nnodes = nx + int(np.count_nonzero(cross_y))
-    ex_id = np.full(cross_x.shape, -1, dtype=np.int64)
-    ex_id[cross_x] = np.arange(nx)
-    ey_id = np.full(cross_y.shape, -1, dtype=np.int64)
-    ey_id[cross_y] = np.arange(nx, nnodes)
+    ix, jx = np.divmod(ex, n + 1)
+    # cell (i, j) has flat id i*n + j; x-edge (i, j) borders cells (i, j-1)
+    # and (i, j), y-edge (i, j) cells (i-1, j) and (i, j)
+    cell = np.sort(np.concatenate([(ex - ix - 1)[jx > 0], (ex - ix)[jx < n],
+                                   (ey - n)[ey >= n], ey[ey < n * n]]))
+    cell = cell[np.diff(cell, prepend=-1) > 0]  # drop repeats; np.unique is slower
+    ci, cj = np.divmod(cell, n)
+    if exclude_radius > 0:
+        out = centers[ci] ** 2 + centers[cj] ** 2 > exclude_radius * exclude_radius
+        cell, ci, cj = cell[out], ci[out], cj[out]
+    # one sorted key space for both edge kinds: a key's rank is its node id;
+    # each row of wanted keys is sorted, which halves the search time
+    keys = np.concatenate([ex, ey + n * (n + 1)])
+    want = np.stack([cell + ci, cell + ci + 1, cell + n * (n + 1), cell + n * (n + 2)])
+    rank = np.searchsorted(keys, want)
+    return ci, cj, np.where(np.append(keys, -1)[rank] == want, rank, -1).T
 
-    ci, cj = np.nonzero(active)
-    # (bottom, top, left, right) edge ids of every active cell
-    edges = np.column_stack([ex_id[ci, cj], ex_id[ci, cj + 1],
-                             ey_id[ci, cj], ey_id[ci + 1, cj]])
+
+def _link_cells(field: PolyField, S: np.ndarray, ci: np.ndarray, cj: np.ndarray,
+                edges: np.ndarray, centers: np.ndarray, nnodes: int) -> np.ndarray:
+    """Link the crossings of the given cells; (nnodes, 2) neighbour ids.
+
+    ``ci``, ``cj`` and ``edges`` are as ``_band_cells`` returns them.  A
+    two-crossing cell links its two crossings; a four-crossing cell links
+    them in two pairs chosen by the sign of F at its center.  Row k of the
+    result holds the neighbours of crossing k in link order (cells in the
+    order given), -1 where absent; every crossing lies on two cells, so it
+    has at most two.
+    """
     present = edges >= 0
     two = np.flatnonzero(present.sum(axis=1) == 2)
     links = [edges[two][present[two]].reshape(-1, 2)]

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -388,15 +389,30 @@ def _vertex_field(seed):
     return PolyField(vertex_poly(f)), 0.1, 0.004
 
 
+def _band_links(field, grid, n, exclude_radius=0.0):
+    """Link the band of the sign grid with the tracer's linker, after
+    checking its cells against the full-grid crossing counts."""
+    S, cross_x, cross_y, active, centers, _ = grid
+    ci, cj, edges = tracer._band_cells(np.flatnonzero(cross_x), np.flatnonzero(cross_y),
+                                       n, centers, exclude_radius)
+    cnt = (cross_x[:, :-1].astype(int) + cross_x[:, 1:]
+           + cross_y[:-1, :] + cross_y[1:, :])
+    cells = np.column_stack([ci, cj])
+    assert np.array_equal(cells, np.argwhere(active))
+    assert np.array_equal((edges >= 0).sum(axis=1), cnt[ci, cj])
+    assert np.array_equal(cells[(edges >= 0).all(axis=1)], np.argwhere(active & (cnt == 4)))
+    nbr = tracer._link_cells(field, S, ci, cj, edges, centers,
+                             int(cross_x.sum() + cross_y.sum()))
+    return [[v for v in row if v >= 0] for row in nbr.tolist()]
+
+
 class TestLinkCells:
     @pytest.mark.parametrize("make, seed", [(_level_field, s) for s in range(4)]
                              + [(_vertex_field, s) for s in range(4)])
     def test_matches_per_cell_reference(self, make, seed):
         field, radius, exclude = make(seed)
         grid = _sign_grid(field, radius, 255, exclude)
-        nbr = tracer._link_cells(field, *grid[:5])
-        got = [[v for v in row if v >= 0] for row in nbr.tolist()]
-        assert got == _reference_links(field, *grid[:5])
+        assert _band_links(field, grid, 255, exclude) == _reference_links(field, *grid[:5])
 
     @pytest.mark.parametrize("c", [0, Fraction(1, 10 ** 6), Fraction(-1, 10 ** 6)])
     @pytest.mark.parametrize("resolution", [63, 255])
@@ -407,6 +423,18 @@ class TestLinkCells:
         field = PolyField(bp({(1, 1): 1, (0, 0): -c}))
         grid = _sign_grid(field, 0.5, resolution)
         assert grid[5] >= 1
-        nbr = tracer._link_cells(field, *grid[:5])
-        got = [[v for v in row if v >= 0] for row in nbr.tolist()]
-        assert got == _reference_links(field, *grid[:5])
+        assert _band_links(field, grid, resolution) == _reference_links(field, *grid[:5])
+
+
+def test_trace_memory_stays_near_the_lattice():
+    # linking works from the crossing edges alone: past the float lattice
+    # and its boolean sign grids, a trace allocates nothing of lattice size
+    field = PolyField(vertex_poly(make_canonical_family(1, 0, 2).f_at((0.02, 0.01))))
+    trace_zero_set(field, 0.1, 1024, exclude_radius=0.004)
+    tracemalloc.start()
+    try:
+        trace_zero_set(field, 0.1, 1024, exclude_radius=0.004)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 1025 ** 2 * 8, peak / 2 ** 20
