@@ -3,8 +3,9 @@
 The deformation parameter tau = (lam, mu) lives in a plane; as tau crosses
 a discriminant consisting of three curves tangent to the lines mu = 0 and
 mu = +-sqrt(3) lam, the pairing of the vertex-set branches changes.  This
-module measures that picture: discriminant angles, bracketed by a sweep
-of the pairing label and solved as nodes of the vertex set, the
+module measures that picture: discriminant angles, bracketed by the sign
+of V at the one saddle of V_tau off the origin, tracked around the
+circle, and solved as nodes of the vertex set, the
 transition-level field k*(tau), fixed-level sections of the
 degenerate-vertex locus (closed curves with six cusps, solved ray by ray
 for k*(r u) = k on the folds of f on the vertex set), the exact reference
@@ -20,6 +21,7 @@ tolerances it was produced with.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 
@@ -34,11 +36,10 @@ from .errors import (
 )
 from .surface import SurfaceFamily
 from .tracer import (
-    PolyField,
     analyze_vertex_set,
     boundary_crossings,
     classify_pairing,
-    critical_system,
+    distinct_rows,
     newton,
 )
 from .util import wrap_angle
@@ -83,9 +84,9 @@ class ScanResult:
 
 @dataclass
 class DiscriminantScan:
-    """Sorted label-change angles plus the coarse sweep they came from."""
+    """Sorted label-change angles and the coarse samples between them."""
     angles: list
-    samples: list  # resolved coarse samples as (theta_deg, label)
+    samples: list  # coarse samples as (theta_deg, label of their sector)
     skipped: list  # (theta_deg, reason)
     metadata: dict
 
@@ -184,27 +185,63 @@ def classify_at(family: SurfaceFamily, tau, *, radius: float = WORK_RADIUS,
 # -- discriminant angles --------------------------------------------------------
 
 
-def _node_seed(v, r_param: float) -> np.ndarray:
-    """(x, y) of the saddle of v with the least |v| / sqrt(-det Hess v).
+def _saddles(slices, states, r_param: float) -> tuple:
+    """Newton on grad p = 0 from the rows (x, y, s) of ``states``, p the
+    member s of ``slices``.
 
-    That ratio is how far the saddle is from a node of v = 0.  The saddles
-    come from Newton on grad v = 0 started on a ring of 12 directions at
-    each of the radii r_param/6, r_param/3 and 2 r_param/3; the origin, a
-    degenerate critical point of every v, is excluded.
+    The member index rides along as a third coordinate with the equation
+    0 = 0 and the Jacobian row (0, 0, 1), so one ``newton`` call solves
+    rows of different members.  Returns the final rows, a mask of the rows
+    that converged to a saddle (det Hess p < 0) farther than 1e-2 r_param
+    from the origin, which is a degenerate critical point of every member,
+    and p at the final rows.
     """
-    field = PolyField(v)
-    system = critical_system(field)
+    def system(rows):
+        d = slices.partials(rows[:, 2], rows[:, 0], rows[:, 1], 2)
+        F = np.column_stack([d[:, 1, 0], d[:, 0, 1], np.zeros(len(d))])
+        J = np.zeros((len(d), 3, 3))
+        J[:, :2, :2] = d[:, [[2, 1], [1, 0]], [[0, 1], [1, 2]]]
+        J[:, 2, 2] = 1.0
+        return F, J
+
+    pts, converged, _ = newton(system, states, tol=1e-9 * r_param, max_iter=30,
+                               max_step=r_param)
+    d = slices.partials(pts[:, 2], pts[:, 0], pts[:, 1], 2)
+    saddle = (converged & (d[:, 2, 0] * d[:, 0, 2] < d[:, 1, 1] ** 2)
+              & (np.hypot(pts[:, 0], pts[:, 1]) > 1e-2 * r_param))
+    return pts, saddle, d[:, 0, 0]
+
+
+def _ring_saddles(vp, taus, thetas_deg: list, r_param: float) -> np.ndarray:
+    """(x, y) of the one saddle off the origin of V at each of ``taus``.
+
+    Newton on grad V = 0 starts, in one batch, from a ring of 12
+    directions at each of the radii r_param/6, r_param/3 and 2 r_param/3
+    around every tau.  A tau whose converged saddles are not exactly one
+    distinct point raises NumericError naming its angle.
+    """
     phi = np.radians(np.arange(0.0, 360.0, 30.0))
     ring = np.concatenate([r * np.column_stack([np.cos(phi), np.sin(phi)])
                            for r in (r_param / 6.0, r_param / 3.0, 2.0 * r_param / 3.0)])
-    pts, converged, _ = newton(system, ring, tol=1e-9 * r_param, max_iter=30,
-                               max_step=r_param)
-    det = np.linalg.det(system(pts)[1])
-    saddle = converged & (det < 0.0) & (np.hypot(*pts.T) > 1e-2 * r_param)
-    if not saddle.any():
-        raise NumericError("no saddle of the vertex function to seed a node")
-    score = np.abs(field.values(pts[saddle])) / np.sqrt(-det[saddle])
-    return pts[saddle][score.argmin()]
+    members = np.repeat(np.arange(len(taus)), len(ring))
+    pts, saddle, _ = _saddles(vp.slices(taus), np.column_stack(
+        [np.tile(ring, (len(taus), 1)), members]), r_param)
+    out = []
+    for s, th in enumerate(thetas_deg):
+        found = pts[saddle & (members == s), :2]
+        distinct = distinct_rows(found, 1e-6 * r_param)
+        if len(distinct) != 1:
+            raise NumericError(f"{len(distinct)} saddles of the vertex function off the "
+                               f"origin at theta = {th:.3f} deg, expected 1")
+        out.append(found[distinct[0]])
+    return np.array(out)
+
+
+def _interpolated_seed(a, b) -> np.ndarray:
+    """(x, y, t) where V vanishes on the line between the bracket ends
+    a and b, each a row (x, y, t, V at the saddle)."""
+    w = a[3] / (a[3] - b[3])
+    return (1.0 - w) * a[:3] + w * b[:3]
 
 
 def discriminant_angles(family: SurfaceFamily, r_param: float = 0.03, *,
@@ -213,16 +250,27 @@ def discriminant_angles(family: SurfaceFamily, r_param: float = 0.03, *,
                         resolution: int = WORK_RESOLUTION) -> DiscriminantScan:
     """Angles where the pairing label changes on the circle |tau| = r_param.
 
-    A sweep in steps of ``coarse_deg`` classifies the pairing around the
-    circle; it certifies each label change and brackets it.  The flip is a
-    node of the vertex set, (V, V_x, V_y) = 0 over (x, y, theta) with
-    tau = r_param (cos theta, sin theta): all brackets are solved at once,
-    each seeded at its midpoint angle and the saddle of V_tau there nearest
-    to a node.  A node that does not converge, or lands outside its bracket
-    widened by half a coarse step at each end, raises NumericError naming
-    the bracket.  ``refine_deg`` has no effect on the result; it is
-    validated and recorded for configs written for the earlier bisection.
-    Coarse samples whose topology does not resolve are skipped and reported.
+    The label changes where the vertex set through the umbilic has a node,
+    that is, where the one saddle of V_tau off the origin lies on V = 0.
+    That saddle is found at theta = 0 from a ring of Newton seeds and
+    continued in steps of ``coarse_deg``, on V_tau at all steps contracted
+    over the parameters at once; each change in the sign of V at it
+    (V = 0 counts as positive) brackets a flip.  The flip is solved as a
+    node, (V, V_x, V_y) = 0 over (x, y, theta) with
+    tau = r_param (cos theta, sin theta), seeded by interpolating the
+    bracket's two saddles linearly in V.  A node that does not converge,
+    or lands outside its bracket widened by half a coarse step at each
+    end, raises NumericError naming the bracket; so does a continuation
+    step that fails or leaves the saddle, naming its theta.
+
+    Halfway between consecutive angles the ring must find the saddle
+    alone again (NumericError otherwise), and ``classify_at`` labels the
+    sector; a non-split sector, or a flip between two sectors of one
+    label, raises UnresolvedTopologyError.  ``samples`` holds every
+    coarse theta with its sector's label, except those within 1e-9 deg of
+    an angle, which are skipped as lying on a label change.
+    ``refine_deg`` has no effect on the result; it is validated and
+    recorded for configs written for the earlier bisection.
     """
     if r_param <= 0:
         raise InputError("r_param must be positive")
@@ -233,28 +281,25 @@ def discriminant_angles(family: SurfaceFamily, r_param: float = 0.03, *,
         c, s = math.cos(t), math.sin(t)
         return (r_param * c, r_param * s), (-r_param * s, r_param * c)
 
-    skipped: list = []
-    samples: list = []
-    for th in np.arange(0.0, 360.0, coarse_deg).tolist():
-        try:
-            lab = classify_at(family, circle(math.radians(th))[0], radius=radius,
-                              resolution=resolution)
-            if lab.kind != "split":
-                raise UnresolvedTopologyError(
-                    f"non-split configuration at theta={th:.2f} deg")
-            samples.append((th, lab.label))
-        except UnresolvedTopologyError as e:
-            skipped.append((th, str(e)))
-
-    if len(samples) < 12:
-        raise UnresolvedTopologyError("too few resolved samples to scan")
-
-    n = len(samples)
-    brackets = [(samples[i][0], samples[(i + 1) % n][0] + 360.0 * (i + 1 == n))
-                for i in range(n) if samples[i][1] != samples[(i + 1) % n][1]]
     vp = build_vertex_function(family)
-    seeds = [(*_node_seed(vp.substitute_params(circle(t)[0]), r_param), t)
-             for t in (math.radians(0.5 * (lo + hi)) for lo, hi in brackets)]
+    thetas = np.arange(0.0, 360.0, coarse_deg).tolist()
+    slices = vp.slices([circle(math.radians(th))[0] for th in thetas])
+    xy = _ring_saddles(vp, [circle(0.0)[0]], [0.0], r_param)[0]
+    track = []  # (x, y, t, V) at the saddle, one row per coarse theta
+    for s, th in enumerate(thetas):
+        pts, saddle, value = _saddles(slices, [(*xy, s)], r_param)
+        if not saddle[0]:
+            raise NumericError(f"saddle continuation failed at theta = {th:.3f} deg: "
+                               f"no saddle off the origin near the previous one")
+        xy = pts[0, :2]
+        track.append((*xy, math.radians(th), value[0]))
+
+    # the row of theta = 0 again at 360 deg closes the circle
+    track = np.vstack([track, np.add(track[0], (0.0, 0.0, 2.0 * math.pi, 0.0))])
+    ends = np.flatnonzero((track[:-1, 3] >= 0.0) != (track[1:, 3] >= 0.0)).tolist()
+    bounds = thetas + [360.0]
+    brackets = [(bounds[j], bounds[j + 1]) for j in ends]
+    seeds = [_interpolated_seed(track[j], track[j + 1]) for j in ends]
     state, solved, steps, _ = _newton_xyt([vp, vp.diff("x"), vp.diff("y")], circle,
                                           seeds, max_iter=30,
                                           max_step=0.5 * r_param + 0.1)
@@ -268,10 +313,37 @@ def discriminant_angles(family: SurfaceFamily, r_param: float = 0.03, *,
                 f"failed after {k} steps at theta = {deg:.3f} deg")
         deg %= 360.0
         angles.append(0.0 if deg == 360.0 else deg)
+    angles.sort()
+
+    # sector i runs from angles[i - 1] to angles[i]; with no flip the
+    # circle is one sector
+    mids = [0.5 * (angles[i - 1] + angles[i] + 360.0 * (i == 0)) % 360.0
+            for i in range(len(angles))] or [180.0]
+    mid_taus = [circle(math.radians(m))[0] for m in mids]
+    _ring_saddles(vp, mid_taus, mids, r_param)
+    labels = []
+    for m, tau in zip(mids, mid_taus):
+        lab = classify_at(family, tau, radius=radius, resolution=resolution)
+        if lab.kind != "split":
+            raise UnresolvedTopologyError(
+                f"non-split configuration at the sector midpoint theta = {m:.2f} deg")
+        labels.append(lab.label)
+    for i, a in enumerate(angles):
+        if labels[i] == labels[(i + 1) % len(labels)]:
+            raise UnresolvedTopologyError(
+                f"label {labels[i]} on both sides of the node at theta = {a:.3f} deg")
+
+    samples: list = []
+    skipped: list = []
+    for th in thetas:
+        if any(abs((th - a + 180.0) % 360.0 - 180.0) <= 1e-9 for a in angles):
+            skipped.append((th, "on a label change"))
+        else:
+            samples.append((th, labels[bisect.bisect_right(angles, th) % len(labels)]))
 
     metadata = {"family": repr(family), "coarse_deg": coarse_deg, "r_param": r_param,
                 "radius": radius, "resolution": resolution, "refine_deg": refine_deg}
-    return DiscriminantScan(angles=sorted(angles), samples=samples,
+    return DiscriminantScan(angles=angles, samples=samples,
                             skipped=skipped, metadata=metadata)
 
 

@@ -504,7 +504,7 @@ def _cmd_discriminant(cfg: RunConfig) -> int:
     print("label-change angles (deg): "
           + "  ".join(f"{a:.3f}" for a in scan.angles))
     if scan.skipped:
-        print(f"skipped {len(scan.skipped)} unresolved samples")
+        print(f"skipped {len(scan.skipped)} samples on a label change")
     _write_csv(cfg.csv_path, ["theta_deg", "label"],
                [(th, lab) for th, lab in scan.samples])
     print(f"csv: {cfg.csv_path}")

@@ -29,6 +29,7 @@ into the arguments, so ``rotate(p, pi/2)`` maps the polynomial x to y.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from operator import add
@@ -97,7 +98,7 @@ class NVarPoly:
     or floats.
     """
 
-    __slots__ = ("nvars", "terms", "_dense_cache")
+    __slots__ = ("nvars", "terms", "_dense_cache", "_diff_cache")
 
     def __init__(self, nvars: int, terms: Mapping | None = None):
         if nvars < 0:
@@ -222,14 +223,23 @@ class NVarPoly:
     # -- calculus and substitution --------------------------------------
 
     def diff(self, index: int) -> "NVarPoly":
-        out: dict = {}
-        for k, c in self.terms.items():
-            e = k[index]
-            if e == 0:
-                continue
-            key = k[:index] + (e - 1,) + k[index + 1 :]
-            _add_into(out, key, c * e)
-        return self._with(out)
+        """Derivative in variable ``index``, cached on this polynomial (the
+        slot stays unset until the first call); no operation mutates
+        ``terms``, so the cached result stays valid."""
+        cache = getattr(self, "_diff_cache", None)
+        if cache is None:
+            cache = self._diff_cache = {}
+        d = cache.get(index)
+        if d is None:
+            out: dict = {}
+            for k, c in self.terms.items():
+                e = k[index]
+                if e == 0:
+                    continue
+                key = k[:index] + (e - 1,) + k[index + 1 :]
+                _add_into(out, key, c * e)
+            d = cache[index] = self._with(out)
+        return d
 
     def eval(self, values: Iterable) -> Scalar:
         vals = [_exact_or_float(v) for v in values]
@@ -550,12 +560,68 @@ class ParamPoly(_PlaneView, NVarPoly):
             t = self._float_cache = [(k[:2], k[2:], float(c)) for k, c in sorted(self.terms.items())]
         return t
 
+    def slices(self, taus) -> "FamilySlices":
+        """The members p(x, y, tau_s) at the rows tau_s of ``taus``.
+
+        The parameter monomials of all rows form one (S, d_1, .., d_n)
+        array, and one tensor product contracts it with the parameter axes
+        of the dense coefficients.
+        """
+        taus = np.asarray(taus, dtype=np.float64).reshape(-1, self.nparams)
+        c = self._dense_coeffs()
+        m = np.ones(len(taus))
+        for k, d in enumerate(c.shape[2:]):
+            m = m[..., None] * _power_rows(taus[:, k], d).T.reshape(len(taus), *(1,) * k, d)
+        params = list(range(2, c.ndim))
+        return FamilySlices(np.tensordot(m, c, axes=([a - 1 for a in params], params)))
+
     def at_zero(self) -> BivarPoly:
         """The member of the family at parameter 0 (parameter-free terms)."""
         return BivarPoly._raw(2, {k[:2]: c for k, c in self.terms.items() if not any(k[2:])})
 
     def __repr__(self):
         return f"ParamPoly({len(self.terms)} terms, {self.nparams} params)"
+
+
+class FamilySlices:
+    """Members of a family at fixed parameter points, as a stack of dense
+    float coefficient matrices C_s[i, j] of x^i y^j (``ParamPoly.slices``).
+
+    A member evaluates with its x, y derivatives in two small batched
+    matrix products, without the parameter axes ``eval_grid`` contracts
+    at every call.
+    """
+
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs: np.ndarray):
+        self.coeffs = coeffs
+
+    def partials(self, members, x, y, order: int) -> np.ndarray:
+        """D[r, a, b] = d^(a+b) p / dx^a dy^b of member ``members[r]`` at
+        (x[r], y[r]), for a, b <= ``order``."""
+        c = self.coeffs[np.asarray(members, dtype=np.intp).ravel()]
+        px = _derivative_rows(np.asarray(x, dtype=np.float64).ravel(), c.shape[1], order)
+        py = _derivative_rows(np.asarray(y, dtype=np.float64).ravel(), c.shape[2], order)
+        return px @ c @ py.transpose(0, 2, 1)
+
+
+def _derivative_rows(v: np.ndarray, n: int, order: int) -> np.ndarray:
+    """The (len(v), order + 1, n) array of d^a/dv^a v^i for i < n, a <= order."""
+    return (np.vander(v, n, increasing=True) @ _derivative_map(n, order)).reshape(
+        v.size, order + 1, n)
+
+
+@functools.cache
+def _derivative_map(n: int, order: int) -> np.ndarray:
+    """The matrix that takes the powers v^0 .. v^(n-1) to their derivatives:
+    column (a, i) holds i! / (i - a)! in row i - a.  Every product sums a
+    single nonzero term, so the derivatives are the powers times integers."""
+    m = np.zeros((n, order + 1, n))
+    for a in range(order + 1):
+        for i in range(a, n):
+            m[i - a, a, i] = math.perm(i, a)
+    return m.reshape(n, -1)
 
 
 # -- comparison helpers -------------------------------------------------------

@@ -29,7 +29,7 @@ from vertexset import (
     vertex_set_self_intersection,
 )
 from vertexset import bifurcation
-from vertexset.poly import NVarPoly
+from vertexset.poly import NVarPoly, ParamPoly
 
 # frozen against this build; anchors at the default working circle R=0.1
 ANCHORS_DEG = [-146.666, -94.888, -40.713, 28.347, 96.756, 156.545]
@@ -39,6 +39,26 @@ SECTOR_LABELS = {30.0: 3, 90.0: 2, 150.0: 1, 210.0: 0, 270.0: 5, 330.0: 4}
 
 # discriminant directions at r_param = 0.03 (drift past 60k shrinks with r)
 SCAN_ANGLES_003 = [60.969, 121.438, 180.594, 239.031, 298.469, 359.414]
+
+# discriminant angles at coarse_deg 6, frozen from the per-sample label
+# sweep that bracketed the node solves before the saddle was tracked
+ABC_102 = (1, 0, 2)
+ABC_AXIS = (0, Fraction(-1, 2), Fraction(3, 2))
+ABC_QUARTER = (Fraction(3, 4), Fraction(-5, 4), Fraction(1, 2))
+SWEEP_ANGLES = {
+    (ABC_102, 0.015): [60.46301962084493, 120.74205285635385, 180.29135116541468,
+                       239.5294550607059, 299.2353173730005, 359.71820266307986],
+    (ABC_102, 0.03): [60.91916512399555, 121.46274751083286, 180.5928569859583,
+                      239.0506618307742, 298.44662314972044, 359.4454128692586],
+    (ABC_AXIS, 0.015): [0.0, 60.41583136038337, 120.41121356650746, 180.0,
+                        239.58878643349254, 299.5841686396167],
+    (ABC_AXIS, 0.03): [0.0, 60.83643780541517, 120.81796165549054, 180.0,
+                       239.1820383445095, 299.1635621945848],
+    (ABC_QUARTER, 0.015): [59.81485475178929, 120.17528550181949, 180.3663419700274,
+                           240.18453196337566, 299.8199090586234, 359.6412850773953],
+    (ABC_QUARTER, 0.03): [59.62903390068564, 120.34595765041581, 180.74058761750823,
+                          240.36851322835392, 299.63480938834897, 359.2899341731923],
+}
 
 # transition levels on the theta = 20 deg ray
 KSTAR_RAY20 = {
@@ -64,8 +84,32 @@ def fam():
 
 
 @pytest.fixture(scope="module")
+def families():
+    return {abc: make_canonical_family(*abc) for abc in (ABC_102, ABC_AXIS, ABC_QUARTER)}
+
+
+@pytest.fixture(scope="module")
 def scan03(fam):
     return discriminant_angles(fam, 0.03)
+
+
+def _label_sweep(family, r_param, coarse_deg):
+    """The pairing label at every coarse theta, one ``classify_at`` each,
+    None where it is not split: the sweep that once bracketed the flips."""
+    labels = {}
+    for th in np.arange(0.0, 360.0, coarse_deg).tolist():
+        try:
+            lab = classify_at(family, _dir(th, r_param))
+            labels[th] = lab.label if lab.kind == "split" else None
+        except UnresolvedTopologyError:
+            labels[th] = None
+    return labels
+
+
+def _fixed_vertex_function(terms):
+    """A stand-in for ``build_vertex_function``: the ParamPoly of ``terms``
+    over (x, y, lam, mu), whatever the family."""
+    return lambda family: ParamPoly(2, terms)
 
 
 def _circ_dist(a, b):
@@ -178,18 +222,62 @@ class TestDiscriminantScan:
         coarse6 = discriminant_angles(fam, 0.03, coarse_deg=6.0)
         assert coarse6.angles == pytest.approx(scan03.angles, abs=1e-9)
 
-    def test_nodes_on_the_axis_when_a_is_zero(self):
-        # this family's nodes lie exactly on theta = 0 and 180 deg
-        fam0 = make_canonical_family(0, Fraction(-1, 2), Fraction(3, 2))
-        angles = discriminant_angles(fam0, 0.02, coarse_deg=3.0).angles
-        assert len(angles) == 6
-        assert all(0.0 <= a < 360.0 for a in angles)
-        for want in (0.0, 180.0):
-            assert min(_circ_dist(a, want) for a in angles) < 1e-9
+    def test_nodes_on_the_axis_when_a_is_zero(self, families):
+        # this family's nodes lie exactly on theta = 0 and 180 deg, which
+        # are coarse samples, so each must be bracketed once and skipped
+        for coarse_deg in (2.0, 3.0, 6.0):
+            scan = discriminant_angles(families[ABC_AXIS], 0.02, coarse_deg=coarse_deg)
+            angles = scan.angles
+            assert len(angles) == 6
+            assert len({round(a / 60.0) % 6 for a in angles}) == 6
+            assert all(0.0 <= a < 360.0 for a in angles)
+            for want in (0.0, 180.0):
+                assert min(_circ_dist(a, want) for a in angles) < 1e-9
+            assert {0.0, 180.0} <= {th for th, _ in scan.skipped}
+
+    @pytest.mark.parametrize("abc,r_param", list(SWEEP_ANGLES))
+    def test_labels_match_the_per_sample_sweep(self, families, abc, r_param):
+        scan = discriminant_angles(families[abc], r_param, coarse_deg=6.0)
+        assert scan.angles == pytest.approx(SWEEP_ANGLES[abc, r_param], abs=1e-9)
+        assert all(reason == "on a label change" for _, reason in scan.skipped)
+        on_node = {th for th, _ in scan.skipped}
+        reference = _label_sweep(families[abc], r_param, 6.0)
+        assert set(dict(scan.samples)) | on_node == set(reference)
+        for th, label in scan.samples:
+            assert label == reference[th], th
+
+    def test_one_classification_per_sector(self, fam, monkeypatch):
+        calls = []
+        real = bifurcation.classify_at
+
+        def counting(*args, **kwargs):
+            calls.append(args[1])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(bifurcation, "classify_at", counting)
+        scan = discriminant_angles(fam, 0.03, coarse_deg=2.0)
+        assert len(scan.samples) == 180
+        assert len(calls) == 6
+
+    def test_second_saddle_raises(self, fam, monkeypatch):
+        # y^2 - (x^2 - a^2)^2 has saddles at (-a, 0) and (a, 0)
+        a2 = 0.01 ** 2
+        monkeypatch.setattr(bifurcation, "build_vertex_function", _fixed_vertex_function(
+            {(0, 2): 1, (4, 0): -1, (2, 0): 2 * a2, (0, 0): -a2 * a2}))
+        with pytest.raises(NumericError, match=r"2 saddles .* theta = 0\.000 deg"):
+            discriminant_angles(fam, 0.03, coarse_deg=6.0)
+
+    def test_failed_continuation_names_its_theta(self, fam, monkeypatch):
+        # (x - lam/2)^2 - y^2: the one saddle, (lam/2, 0), reaches the
+        # origin at theta = 90 deg
+        monkeypatch.setattr(bifurcation, "build_vertex_function", _fixed_vertex_function(
+            {(2, 0, 0, 0): 1, (1, 0, 1, 0): -1, (0, 0, 2, 0): 0.25, (0, 2, 0, 0): -1}))
+        with pytest.raises(NumericError, match=r"continuation failed at theta = 90\.000 deg"):
+            discriminant_angles(fam, 0.03, coarse_deg=6.0)
 
     def test_failed_node_raises_naming_its_bracket(self, fam, monkeypatch):
-        monkeypatch.setattr(bifurcation, "_node_seed",
-                            lambda v, r_param: np.array([3.0, -3.0]))
+        monkeypatch.setattr(bifurcation, "_interpolated_seed",
+                            lambda a, b: np.array([3.0, -3.0, a[2]]))
         with pytest.raises(NumericError,
                            match=r"label change in \[\d+\.\d+, \d+\.\d+\] deg"):
             discriminant_angles(fam, 0.03, coarse_deg=6.0)

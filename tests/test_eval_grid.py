@@ -1,11 +1,12 @@
-"""Property tests of the dense ``eval_grid`` and ``eval_lattice`` kernels.
+"""Property tests of the dense ``eval_grid``, ``eval_lattice`` and slice kernels.
 
 Both must agree with exact rational evaluation to within
 1e-12 * sum |c| |x|^i |y|^j, the size of the terms they add up, for
 int, Fraction and float coefficients; ``eval_grid`` for every broadcast
 shape, on surfaces (``BivarPoly``) and on families with one or two
 parameters (``ParamPoly`` at (x, y, tau)), ``eval_lattice`` for axes of
-any lengths, length 1 included.
+any lengths, length 1 included, and the x, y derivatives of order <= 2
+of family members fixed by ``ParamPoly.slices``.
 """
 
 import math
@@ -92,6 +93,30 @@ def test_param_eval_grid_matches_exact(p, n, scalar_tau, seed):
         scale = sum(abs(Fraction(c)) * math.prod(abs(v) ** e for v, e in zip(point, k))
                     for k, c in p.terms.items())
         assert abs(Fraction(float(Z[r])) - exact_p.eval(point)) <= Fraction(1e-12) * scale
+
+
+@settings(max_examples=100)
+@given(families, sizes, sizes, st.integers(0, 2 ** 32 - 1))
+def test_slice_partials_match_exact(p, n_taus, n, seed):
+    # member m of p.slices(taus) is p at taus[m]; partials takes every x, y
+    # derivative of order <= 2 of the member named on each row
+    rng = np.random.default_rng(seed)
+    taus = rng.uniform(-1.5, 1.5, size=(n_taus, p.nparams))
+    members = rng.integers(0, n_taus, size=n)
+    x, y = rng.uniform(-1.5, 1.5, size=(2, n))
+    D = p.slices(taus).partials(members, x, y, 2)
+    assert D.shape == (n, 3, 3)
+    exact_p = ParamPoly(p.nparams, {k: Fraction(c) for k, c in p.terms.items()})
+    for a, b in np.ndindex(3, 3):
+        q = exact_p
+        for var, times in (("x", a), ("y", b)):
+            for _ in range(times):
+                q = q.diff(var)
+        for r, m in enumerate(members):
+            point = [Fraction(float(v)) for v in (x[r], y[r], *taus[m])]
+            scale = sum(abs(c) * math.prod(abs(v) ** e for v, e in zip(point, k))
+                        for k, c in q.terms.items())
+            assert abs(Fraction(float(D[r, a, b])) - q.eval(point)) <= Fraction(1e-12) * scale
 
 
 @pytest.mark.parametrize("sx, sy", [((), ()), ((5,), (5,)), ((3, 4), (3, 4)),

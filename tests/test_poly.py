@@ -217,3 +217,16 @@ def test_negative_power_rejected():
     x = BivarPoly.variable("x")
     with pytest.raises(InputError):
         x ** -1
+
+
+def test_diff_is_cached_and_unchanged():
+    # the family's V: each derivative is built once and then returned as is
+    vp = build_vertex_function(make_canonical_family(1, 0, 2))
+    fresh = ParamPoly(2, dict(vp.terms))
+    for var in ("x", "y"):
+        assert vp.diff(var) is vp.diff(var)
+        assert vp.diff(var).terms == fresh.diff(var).terms
+    for k in range(2):
+        assert vp.diff_param(k) is vp.diff_param(k)
+        assert vp.diff_param(k).terms == fresh.diff_param(k).terms
+    assert vp.diff("x").diff("y").terms == vp.diff("y").diff("x").terms
