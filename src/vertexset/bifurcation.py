@@ -39,6 +39,7 @@ from .tracer import (
     analyze_vertex_set,
     boundary_crossings,
     classify_pairing,
+    critical_system,
     distinct_rows,
     newton,
 )
@@ -143,20 +144,20 @@ def _dist_to_multiple(theta_deg: float, step: float = 60.0) -> float:
 # -- sector anchors and pairing classification ---------------------------------
 
 
-def sector_anchors(family: SurfaceFamily, *, radius: float = WORK_RADIUS,
-                   resolution: int = WORK_RESOLUTION) -> tuple:
+def sector_anchors(family: SurfaceFamily) -> tuple:
     """Boundary directions of the three undeformed vertex-set branches.
 
     The vertex set at tau = 0 consists of three lines through the origin;
-    their six boundary crossings on the working circle anchor the sector
-    indexing every pairing label refers to.  Cached on the family.
+    their six boundary crossings on the working circle (``WORK_RADIUS``,
+    traced at ``WORK_RESOLUTION``) anchor the sector indexing every
+    pairing label refers to.  Cached on the family.
     """
-    key = ("sector_anchors", radius, resolution)
+    key = ("sector_anchors", WORK_RADIUS, WORK_RESOLUTION)
     cached = family.cache.get(key)
     if cached is not None:
         return cached
     v0 = build_vertex_function(family).at_zero()
-    analysis = analyze_vertex_set(v0, radius=radius, resolution=resolution)
+    analysis = analyze_vertex_set(v0, radius=WORK_RADIUS, resolution=WORK_RESOLUTION)
     hits = boundary_crossings(analysis.trace.curves)
     if len(hits) != 6:
         raise UnresolvedTopologyError(
@@ -168,48 +169,36 @@ def sector_anchors(family: SurfaceFamily, *, radius: float = WORK_RADIUS,
     return anchors
 
 
-def classify_at(family: SurfaceFamily, tau, *, radius: float = WORK_RADIUS,
-                resolution: int = WORK_RESOLUTION, r_fit: float | None = None):
+def classify_at(family: SurfaceFamily, tau):
     """Pairing label of the deformed vertex set at one parameter value.
 
     Anchors and the sample are traced at the same working radius so the
     nearest-anchor matching stays consistent.
     """
-    anchors = sector_anchors(family, radius=radius, resolution=resolution)
+    anchors = sector_anchors(family)
     v = build_vertex_function(family).substitute_params(tuple(tau))
-    analysis = analyze_vertex_set(v, radius=radius, resolution=resolution,
-                                  r_fit=r_fit)
+    analysis = analyze_vertex_set(v, radius=WORK_RADIUS, resolution=WORK_RESOLUTION)
     return classify_pairing(analysis.branches, anchors)
 
 
 # -- discriminant angles --------------------------------------------------------
 
 
-def _saddles(slices, states, r_param: float) -> tuple:
+def _saddles(members, states, r_param: float) -> tuple:
     """Newton on grad p = 0 from the rows (x, y, s) of ``states``, p the
-    member s of ``slices``.
+    member s of the family field ``members`` (``ParamPoly.slices``); rows
+    (x, y) of a field of one member name none.
 
-    The member index rides along as a third coordinate with the equation
-    0 = 0 and the Jacobian row (0, 0, 1), so one ``newton`` call solves
-    rows of different members.  Returns the final rows, a mask of the rows
-    that converged to a saddle (det Hess p < 0) farther than 1e-2 r_param
-    from the origin, which is a degenerate critical point of every member,
-    and p at the final rows.
+    Returns the final rows, a mask of the rows that converged to a saddle
+    (det Hess p < 0) farther than 1e-2 r_param from the origin, which is a
+    degenerate critical point of every member, and p at the final rows.
     """
-    def system(rows):
-        d = slices.partials(rows[:, 2], rows[:, 0], rows[:, 1], 2)
-        F = np.column_stack([d[:, 1, 0], d[:, 0, 1], np.zeros(len(d))])
-        J = np.zeros((len(d), 3, 3))
-        J[:, :2, :2] = d[:, [[2, 1], [1, 0]], [[0, 1], [1, 2]]]
-        J[:, 2, 2] = 1.0
-        return F, J
-
-    pts, converged, _ = newton(system, states, tol=1e-9 * r_param, max_iter=30,
-                               max_step=r_param)
-    d = slices.partials(pts[:, 2], pts[:, 0], pts[:, 1], 2)
-    saddle = (converged & (d[:, 2, 0] * d[:, 0, 2] < d[:, 1, 1] ** 2)
+    pts, converged, _ = newton(critical_system(members), states, tol=1e-9 * r_param,
+                               max_iter=30, max_step=r_param)
+    value, _, h = members.partials(pts, 2)
+    saddle = (converged & (h[:, 0, 0] * h[:, 1, 1] < h[:, 0, 1] ** 2)
               & (np.hypot(pts[:, 0], pts[:, 1]) > 1e-2 * r_param))
-    return pts, saddle, d[:, 0, 0]
+    return pts, saddle, value
 
 
 def _ring_saddles(vp, taus, thetas_deg: list, r_param: float) -> np.ndarray:
@@ -245,16 +234,14 @@ def _interpolated_seed(a, b) -> np.ndarray:
 
 
 def discriminant_angles(family: SurfaceFamily, r_param: float = 0.03, *,
-                        coarse_deg: float = 2.0, refine_deg: float = 0.1,
-                        radius: float = WORK_RADIUS,
-                        resolution: int = WORK_RESOLUTION) -> DiscriminantScan:
+                        coarse_deg: float = 2.0, refine_deg: float = 0.1) -> DiscriminantScan:
     """Angles where the pairing label changes on the circle |tau| = r_param.
 
     The label changes where the vertex set through the umbilic has a node,
     that is, where the one saddle of V_tau off the origin lies on V = 0.
     That saddle is found at theta = 0 from a ring of Newton seeds and
-    continued in steps of ``coarse_deg``, on V_tau at all steps contracted
-    over the parameters at once; each change in the sign of V at it
+    continued in steps of ``coarse_deg``, on the member V_tau of each step
+    (``ParamPoly.slices``); each change in the sign of V at it
     (V = 0 counts as positive) brackets a flip.  The flip is solved as a
     node, (V, V_x, V_y) = 0 over (x, y, theta) with
     tau = r_param (cos theta, sin theta), seeded by interpolating the
@@ -283,11 +270,11 @@ def discriminant_angles(family: SurfaceFamily, r_param: float = 0.03, *,
 
     vp = build_vertex_function(family)
     thetas = np.arange(0.0, 360.0, coarse_deg).tolist()
-    slices = vp.slices([circle(math.radians(th))[0] for th in thetas])
     xy = _ring_saddles(vp, [circle(0.0)[0]], [0.0], r_param)[0]
     track = []  # (x, y, t, V) at the saddle, one row per coarse theta
-    for s, th in enumerate(thetas):
-        pts, saddle, value = _saddles(slices, [(*xy, s)], r_param)
+    for th in thetas:
+        pts, saddle, value = _saddles(vp.slices([circle(math.radians(th))[0]]), [xy],
+                                      r_param)
         if not saddle[0]:
             raise NumericError(f"saddle continuation failed at theta = {th:.3f} deg: "
                                f"no saddle off the origin near the previous one")
@@ -323,7 +310,7 @@ def discriminant_angles(family: SurfaceFamily, r_param: float = 0.03, *,
     _ring_saddles(vp, mid_taus, mids, r_param)
     labels = []
     for m, tau in zip(mids, mid_taus):
-        lab = classify_at(family, tau, radius=radius, resolution=resolution)
+        lab = classify_at(family, tau)
         if lab.kind != "split":
             raise UnresolvedTopologyError(
                 f"non-split configuration at the sector midpoint theta = {m:.2f} deg")
@@ -342,7 +329,8 @@ def discriminant_angles(family: SurfaceFamily, r_param: float = 0.03, *,
             samples.append((th, labels[bisect.bisect_right(angles, th) % len(labels)]))
 
     metadata = {"family": repr(family), "coarse_deg": coarse_deg, "r_param": r_param,
-                "radius": radius, "resolution": resolution, "refine_deg": refine_deg}
+                "radius": WORK_RADIUS, "resolution": WORK_RESOLUTION,
+                "refine_deg": refine_deg}
     return DiscriminantScan(angles=angles, samples=samples,
                             skipped=skipped, metadata=metadata)
 
@@ -351,8 +339,7 @@ def discriminant_angles(family: SurfaceFamily, r_param: float = 0.03, *,
 
 
 def pairing_flip_1param(family: SurfaceFamily, theta_deg: float,
-                        t0: float = 0.03, *, radius: float = WORK_RADIUS,
-                        resolution: int = WORK_RESOLUTION) -> PairingFlip:
+                        t0: float = 0.03) -> PairingFlip:
     """Pairing labels at the two ends of the path tau = t*(cos, sin), |t| <= t0.
 
     The direction must keep at least ``FLIP_MIN_SEP_DEG`` away from the
@@ -369,10 +356,8 @@ def pairing_flip_1param(family: SurfaceFamily, theta_deg: float,
         )
     th = math.radians(theta_deg)
     u = (math.cos(th), math.sin(th))
-    lab_m = classify_at(family, (-t0 * u[0], -t0 * u[1]), radius=radius,
-                        resolution=resolution)
-    lab_p = classify_at(family, (t0 * u[0], t0 * u[1]), radius=radius,
-                        resolution=resolution)
+    lab_m = classify_at(family, (-t0 * u[0], -t0 * u[1]))
+    lab_p = classify_at(family, (t0 * u[0], t0 * u[1]))
     if lab_m.kind != "split" or lab_p.kind != "split":
         raise UnresolvedTopologyError("endpoint classification is not split")
     if (lab_m.label + 3) % 6 != lab_p.label:

@@ -385,8 +385,7 @@ def _curve_rows(polylines: list, vfield) -> list:
     """CSV rows (curve_id, seq, x, y, tx, ty, residual) for polylines on V = 0."""
     rows = []
     for ci, pts in enumerate(polylines):
-        grads = vfield.grads(pts)
-        vals = vfield.values(pts)
+        vals, grads = vfield.partials(pts, 1)
         norms = np.hypot(grads[:, 0], grads[:, 1])
         norms[norms == 0.0] = 1.0
         for s, (p, g, v, n) in enumerate(zip(pts, grads, vals, norms)):

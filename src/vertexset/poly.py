@@ -11,6 +11,12 @@ x and y:
 * ``ParamPoly``  polynomial in (x, y) and n deformation parameters, i.e. a
   family of surfaces; parameter k is variable 2 + k.
 
+``PolyField`` evaluates a plane polynomial, or the members of a family at
+fixed parameters (``ParamPoly.slices``), with its x, y partial derivatives
+up to order 2 in one kernel.  The tracer's projections and Newton solves
+and the critical-point solves take their derivatives from it, so none of
+them builds a derivative polynomial.
+
 Ring operations return a polynomial of the class of their left operand.
 Every polynomial evaluates through ``NVarPoly``: ``eval`` at one point,
 exactly when the inputs are exact, and ``eval_grid`` in floats on numpy
@@ -29,7 +35,6 @@ into the arguments, so ``rotate(p, pi/2)`` maps the polynomial x to y.
 
 from __future__ import annotations
 
-import functools
 import math
 from fractions import Fraction
 from operator import add
@@ -560,8 +565,9 @@ class ParamPoly(_PlaneView, NVarPoly):
             t = self._float_cache = [(k[:2], k[2:], float(c)) for k, c in sorted(self.terms.items())]
         return t
 
-    def slices(self, taus) -> "FamilySlices":
-        """The members p(x, y, tau_s) at the rows tau_s of ``taus``.
+    def slices(self, taus) -> "PolyField":
+        """The members p(x, y, tau_s) at the rows tau_s of ``taus``, as one
+        ``PolyField`` whose points are rows (x, y, s).
 
         The parameter monomials of all rows form one (S, d_1, .., d_n)
         array, and one tensor product contracts it with the parameter axes
@@ -573,7 +579,7 @@ class ParamPoly(_PlaneView, NVarPoly):
         for k, d in enumerate(c.shape[2:]):
             m = m[..., None] * _power_rows(taus[:, k], d).T.reshape(len(taus), *(1,) * k, d)
         params = list(range(2, c.ndim))
-        return FamilySlices(np.tensordot(m, c, axes=([a - 1 for a in params], params)))
+        return PolyField(np.tensordot(m, c, axes=([a - 1 for a in params], params)))
 
     def at_zero(self) -> BivarPoly:
         """The member of the family at parameter 0 (parameter-free terms)."""
@@ -583,45 +589,78 @@ class ParamPoly(_PlaneView, NVarPoly):
         return f"ParamPoly({len(self.terms)} terms, {self.nparams} params)"
 
 
-class FamilySlices:
-    """Members of a family at fixed parameter points, as a stack of dense
-    float coefficient matrices C_s[i, j] of x^i y^j (``ParamPoly.slices``).
+class PolyField:
+    """A plane polynomial F, or the members of a family at fixed
+    parameters, evaluated with its x, y partial derivatives.
 
-    A member evaluates with its x, y derivatives in two small batched
-    matrix products, without the parameter axes ``eval_grid`` contracts
-    at every call.
+    ``PolyField(p)`` holds one ``BivarPoly`` p, or the members with the
+    dense coefficients p[s] of an (S, nx, ny) array (``ParamPoly.slices``),
+    whose points are rows (x, y, s) naming the member s.  Every partial
+    derivative comes from one kernel, ``partials``: the dense coefficients
+    of the partials of order <= 2 are stacked once, one matrix product
+    contracts the stack with the powers of y, and one sum of products with
+    the powers of x.  F alone comes from ``eval_grid``, whose Horner rule
+    in x beats the powers of x on large batches.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("p", "_stack")
 
-    def __init__(self, coeffs: np.ndarray):
-        self.coeffs = coeffs
+    def __init__(self, p: BivarPoly | np.ndarray):
+        self.p = p if isinstance(p, BivarPoly) else None
+        self._stack = _partial_stack(p if self.p is None else p._dense_coeffs()[None])
 
-    def partials(self, members, x, y, order: int) -> np.ndarray:
-        """D[r, a, b] = d^(a+b) p / dx^a dy^b of member ``members[r]`` at
-        (x[r], y[r]), for a, b <= ``order``."""
-        c = self.coeffs[np.asarray(members, dtype=np.intp).ravel()]
-        px = _derivative_rows(np.asarray(x, dtype=np.float64).ravel(), c.shape[1], order)
-        py = _derivative_rows(np.asarray(y, dtype=np.float64).ravel(), c.shape[2], order)
-        return px @ c @ py.transpose(0, 2, 1)
+    def value(self, x: float, y: float) -> float:
+        return float(self.p.eval(float(x), float(y)))
+
+    def values(self, pts: np.ndarray) -> np.ndarray:
+        pts = np.asarray(pts, dtype=float)
+        return self.p.eval_grid(pts[..., 0], pts[..., 1])
+
+    def grads(self, pts: np.ndarray) -> np.ndarray:
+        return self.partials(pts, 1)[1]
+
+    def partials(self, pts, order: int) -> tuple:
+        """F at the rows of ``pts``, with its gradient for ``order`` >= 1
+        and its Hessian for ``order`` 2: arrays of shapes (n,), (n, 2) and
+        (n, 2, 2)."""
+        if order not in (0, 1, 2):
+            raise InputError("partials are available up to order 2")
+        pts = np.asarray(pts, dtype=np.float64)
+        pts = pts.reshape(-1, pts.shape[-1])
+        if order == 0 and self.p is not None:
+            return (self.values(pts),)
+        n = len(pts)
+        m = (1, 3, 6)[order]
+        _, s, nx, ny = self._stack.shape
+        # powers of x in the first n columns, of y in the last n
+        pw = _power_rows(pts[:, :2].T.ravel(), max(nx, ny))
+        t = (self._stack[:m].reshape(-1, nx, ny) @ pw[:ny, n:]).reshape(m, s, nx, n)
+        # each row takes the member its third coordinate names
+        t = t[:, 0] if s == 1 else t[:, pts[:, 2].astype(np.intp), :, np.arange(n)].transpose(1, 2, 0)
+        d = np.einsum("pin,in->pn", t, pw[:nx, :n])
+        out = [d[0]]
+        if order >= 1:
+            out.append(d[1:3].T)
+        if order == 2:
+            out.append(d[[[3, 4], [4, 5]]].transpose(2, 0, 1))
+        return tuple(out)
 
 
-def _derivative_rows(v: np.ndarray, n: int, order: int) -> np.ndarray:
-    """The (len(v), order + 1, n) array of d^a/dv^a v^i for i < n, a <= order."""
-    return (np.vander(v, n, increasing=True) @ _derivative_map(n, order)).reshape(
-        v.size, order + 1, n)
-
-
-@functools.cache
-def _derivative_map(n: int, order: int) -> np.ndarray:
-    """The matrix that takes the powers v^0 .. v^(n-1) to their derivatives:
-    column (a, i) holds i! / (i - a)! in row i - a.  Every product sums a
-    single nonzero term, so the derivatives are the powers times integers."""
-    m = np.zeros((n, order + 1, n))
-    for a in range(order + 1):
-        for i in range(a, n):
-            m[i - a, a, i] = math.perm(i, a)
-    return m.reshape(n, -1)
+def _partial_stack(c: np.ndarray) -> np.ndarray:
+    """The dense coefficients of F, F_x, F_y, F_xx, F_xy and F_yy, in this
+    order, for the members with coefficients c[s] (an (S, nx, ny) array):
+    one (6, S, nx, ny) array.  Each derivative shifts the coefficients of
+    the one before it down by one power and weights them by the exponent."""
+    _, nx, ny = c.shape
+    wx, wy = np.arange(1, nx)[:, None], np.arange(1, ny)
+    out = np.zeros((6,) + c.shape)
+    out[0] = c
+    out[1, :, :-1] = wx * c[:, 1:]
+    out[2, :, :, :-1] = wy * c[:, :, 1:]
+    out[3, :, :-1] = wx * out[1, :, 1:]
+    out[4, :, :, :-1] = wy * out[1, :, :, 1:]
+    out[5, :, :, :-1] = wy * out[2, :, :, 1:]
+    return out
 
 
 # -- comparison helpers -------------------------------------------------------

@@ -19,7 +19,9 @@ Common zeros of two traced fields are found by ``polish_crossings``: a
 bracketed secant search along the arcs of one zero set, then a joint
 Newton step on both.  Every square Newton solve of the package, here and
 in ``vertices`` and ``bifurcation``, goes through one batched solver,
-``newton``.
+``newton``.  A field is a ``poly.PolyField``: every projection, Newton
+step and boundary hit takes F with its gradient (and the critical-point
+solves its Hessian) from one call of ``PolyField.partials``.
 
 Near a point where several arcs of the zero set cross (the origin for a
 vertex function, a node of a level curve) the sign grid cannot be linked
@@ -40,35 +42,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, InsufficientSamplingError, UnresolvedTopologyError
-from .poly import BivarPoly
+from .poly import BivarPoly, PolyField
 from .util import wrap_angle
 
 TRACE_TOL = 1e-10
 GRAD_FLOOR = 1e-9
 MIN_RESOLUTION = 16
 PROJECTION_STEPS = 8
-
-
-class PolyField:
-    """A polynomial with cached first derivatives and array evaluation."""
-
-    def __init__(self, p: BivarPoly):
-        self.p = p
-        self.px = p.diff("x")
-        self.py = p.diff("y")
-
-    def value(self, x: float, y: float) -> float:
-        return float(self.p.eval(float(x), float(y)))
-
-    def values(self, pts: np.ndarray) -> np.ndarray:
-        pts = np.asarray(pts, dtype=float)
-        return self.p.eval_grid(pts[..., 0], pts[..., 1])
-
-    def grads(self, pts: np.ndarray) -> np.ndarray:
-        pts = np.asarray(pts, dtype=float)
-        gx = self.px.eval_grid(pts[..., 0], pts[..., 1])
-        gy = self.py.eval_grid(pts[..., 0], pts[..., 1])
-        return np.stack([gx, gy], axis=-1)
 
 
 @dataclass
@@ -176,41 +156,53 @@ def newton(system, x0: np.ndarray, *, tol: float, max_iter: int,
 def field_system(field_a: PolyField, field_b: PolyField):
     """The system (F_a, F_b) = 0 with Jacobian rows grad F_a, grad F_b."""
     def system(p):
-        F = np.column_stack([field_a.values(p), field_b.values(p)])
-        return F, np.stack([field_a.grads(p), field_b.grads(p)], axis=1)
+        fa, ga = field_a.partials(p, 1)
+        fb, gb = field_b.partials(p, 1)
+        return np.column_stack([fa, fb]), np.stack([ga, gb], axis=1)
     return system
 
 
 def critical_system(field: PolyField):
-    """The system grad F = 0, whose Jacobian is the Hessian of F."""
-    return field_system(PolyField(field.px), PolyField(field.py))
+    """The system grad F = 0, whose Jacobian is the Hessian of F.
+
+    On the rows (x, y, s) of a family field the member index s rides
+    along, with the equation 0 = 0 and the Jacobian row (0, 0, 1), so one
+    solve takes rows of different members.
+    """
+    def system(p):
+        _, g, h = field.partials(p, 2)
+        if p.shape[1] == 2:
+            return g, h
+        F, J = np.zeros(p.shape), np.zeros((len(p), 3, 3))
+        F[:, :2], J[:, :2, :2], J[:, 2, 2] = g, h, 1.0
+        return F, J
+    return system
 
 
 def project_to_zero_set(field: PolyField, pts: np.ndarray, *, tol: float = 1e-14,
-                        step_cap: float = math.inf, grad_floor: float = GRAD_FLOOR) -> tuple:
+                        step_cap: float = math.inf) -> tuple:
     """Newton-project an (n, 2) array of points onto F = 0 along grad F.
 
     Each point stops on its own: after the step taken from within ``tol``
     of the zero set, without stepping where its gradient is below
-    ``grad_floor``, or after ``PROJECTION_STEPS`` steps.  Steps longer than
+    ``GRAD_FLOOR``, or after ``PROJECTION_STEPS`` steps.  Steps longer than
     ``step_cap`` are shortened to it.  Returns the points and the residuals
-    |F| / max(|grad F|, grad_floor) at them, each with the gradient norm of
+    |F| / max(|grad F|, GRAD_FLOOR) at them, each with the gradient norm of
     its last evaluation.
     """
     p = np.array(pts, dtype=float)
-    gnorm = np.full(len(p), grad_floor)
+    gnorm = np.full(len(p), GRAD_FLOOR)
     active = np.ones(len(p), dtype=bool)
     for _ in range(PROJECTION_STEPS):
         idx = np.flatnonzero(active)
         if not len(idx):
             break
         q = p[idx]
-        f = field.values(q)
-        g = field.grads(q)
+        f, g = field.partials(q, 1)
         g2 = np.einsum("ij,ij->i", g, g)
-        gnorm[idx] = np.maximum(np.sqrt(g2), grad_floor)
+        gnorm[idx] = np.maximum(np.sqrt(g2), GRAD_FLOOR)
         res = np.abs(f) / gnorm[idx]
-        move = g2 >= grad_floor ** 2
+        move = g2 >= GRAD_FLOOR ** 2
         # the step is res long; rows that do not move get a zero step
         c = f / np.where(move, g2, np.inf)
         c *= np.minimum(1.0, step_cap / np.maximum(res, 1e-300))
@@ -223,8 +215,7 @@ def project_to_zero_set(field: PolyField, pts: np.ndarray, *, tol: float = 1e-14
 
 
 def trace_zero_set(field: PolyField, radius: float, resolution: int = 512, *,
-                   trace_tol: float = TRACE_TOL, exclude_radius: float = 0.0,
-                   grad_floor: float = GRAD_FLOOR) -> TraceResult:
+                   exclude_radius: float = 0.0) -> TraceResult:
     """Trace {F = 0} inside the disc of the given radius around the origin.
 
     The lattice is evaluated and its signs read in full; the crossings
@@ -275,22 +266,21 @@ def trace_zero_set(field: PolyField, radius: float, resolution: int = 512, *,
     quad = np.flatnonzero(edges.min(axis=1) >= 0)
     if len(quad):
         qc = np.column_stack([centers[ci[quad]], centers[cj[quad]]])
-        fq = field.values(qc)
-        gq = np.linalg.norm(field.grads(qc), axis=1)
+        fq, gq = field.partials(qc, 1)
+        gq = np.linalg.norm(gq, axis=1)
         gmed = float(np.median(np.linalg.norm(field.grads(pos), axis=1))) if len(pos) else 1.0
-        gmed = max(gmed, grad_floor)
+        gmed = max(gmed, GRAD_FLOOR)
         cells = (gq < 0.35 * gmed) & (np.abs(fq) < 0.5 * gmed * h)
         if exclude_radius > 0:
             cells &= qc[:, 0] ** 2 + qc[:, 1] ** 2 > (2 * exclude_radius) ** 2
         if cells.any():
             ci, cj, edges = (np.delete(a, quad[cells], axis=0) for a in (ci, cj, edges))
             p, ok, _ = newton(critical_system(field), qc[cells],
-                              tol=grad_floor * 10, max_iter=15, max_step=1.0)
+                              tol=GRAD_FLOOR * 10, max_iter=15, max_step=1.0)
             sing = p[ok & (np.abs(field.values(p)) < gmed * h)]
 
     nbr = _link_cells(field, S, ci, cj, edges, centers, len(pos))
-    pos, residuals = project_to_zero_set(field, pos, tol=trace_tol, step_cap=h,
-                                         grad_floor=grad_floor)
+    pos, residuals = project_to_zero_set(field, pos, tol=TRACE_TOL, step_cap=h)
 
     runs = []
     for node_ids, closed in _assemble_chains(nbr):
@@ -303,10 +293,9 @@ def trace_zero_set(field: PolyField, radius: float, resolution: int = 512, *,
         pts, res = pts[keep], res[keep]
         if len(pts) >= 2:
             runs.extend(_clip_to_disc(pts, res, radius, closed))
-    _refine_boundary_ends(field, runs, radius, h, grad_floor)
+    _refine_boundary_ends(field, runs, radius, h)
     curves = [_finish_curve(field, pts, res, closed,
-                            tuple(math.atan2(pts[i, 1], pts[i, 0]) for i in ends),
-                            grad_floor)
+                            tuple(math.atan2(pts[i, 1], pts[i, 0]) for i in ends))
               for pts, res, closed, ends in runs]
     curves = [c for c in curves
               if len(c.points) >= 3 or len(c.boundary_hits) == 2]
@@ -492,7 +481,7 @@ def _clip_to_disc(pts: np.ndarray, res: np.ndarray, radius: float,
 
 
 def _refine_boundary_ends(field: PolyField, runs: list, radius: float,
-                          h: float, grad_floor: float) -> None:
+                          h: float) -> None:
     """Solve (F, x^2 + y^2 - R^2) = 0 from every boundary end of the runs,
     all at once, and write the points and their residuals in place."""
     ends = [(seg, sres, i) for seg, sres, _, idx in runs for i in idx]
@@ -501,17 +490,17 @@ def _refine_boundary_ends(field: PolyField, runs: list, radius: float,
     circle = PolyField(BivarPoly({(2, 0): 1.0, (0, 2): 1.0, (0, 0): -radius * radius}))
     q, _, _ = newton(field_system(field, circle), [seg[i] for seg, _, i in ends],
                      tol=1e-14 * radius, max_iter=8, max_step=h)
-    res = np.abs(field.values(q)) / np.maximum(np.linalg.norm(field.grads(q), axis=1),
-                                               grad_floor)
+    f, g = field.partials(q, 1)
+    res = np.abs(f) / np.maximum(np.linalg.norm(g, axis=1), GRAD_FLOOR)
     for (seg, sres, i), qi, ri in zip(ends, q, res):
         seg[i] = qi
         sres[i] = ri
 
 
 def _finish_curve(field: PolyField, pts: np.ndarray, res: np.ndarray,
-                  closed: bool, hits: tuple, grad_floor: float) -> TracedCurve:
+                  closed: bool, hits: tuple) -> TracedCurve:
     g = field.grads(pts)
-    gn = np.maximum(np.linalg.norm(g, axis=1), grad_floor)
+    gn = np.maximum(np.linalg.norm(g, axis=1), GRAD_FLOOR)
     tangents = np.column_stack([-g[:, 1], g[:, 0]]) / gn[:, None]
     if len(pts) > 1:
         d = np.diff(pts, axis=0)
@@ -777,8 +766,7 @@ def classify_pairing(bs: BranchSet, anchor_angles) -> PairingLabel:
 
 
 def polish_crossings(field_a: PolyField, field_b: PolyField, pa: np.ndarray,
-                     pb: np.ndarray, *, tol: float, max_iter: int,
-                     grad_floor: float = GRAD_FLOOR) -> np.ndarray:
+                     pb: np.ndarray, *, tol: float, max_iter: int) -> tuple:
     """Common zeros of (F_a, F_b) on the arcs of F_a = 0 from pa[i] to pb[i].
 
     Where F_b changes sign from pa[i] to pb[i], a bracketed secant search
@@ -790,7 +778,8 @@ def polish_crossings(field_a: PolyField, field_b: PolyField, pa: np.ndarray,
     bracket stops at 2^-30 of its starting width, or on an exact zero of
     F_b, or after 30 rounds.  Joint Newton on (F_a, F_b) then polishes
     the last secant point of every bracket, and every other row from the
-    end where |F_b| is smaller.
+    end where |F_b| is smaller.  Returns the points and their Newton
+    convergence flags.
     """
     lo = np.array(pa, dtype=float).reshape(-1, 2)
     hi = np.array(pb, dtype=float).reshape(-1, 2)
@@ -805,8 +794,7 @@ def polish_crossings(field_a: PolyField, field_b: PolyField, pa: np.ndarray,
         if not len(idx):
             break
         t = flo[idx] / (flo[idx] - fhi[idx])
-        mid, _ = project_to_zero_set(field_a, lo[idx] + t[:, None] * (hi[idx] - lo[idx]),
-                                     grad_floor=grad_floor)
+        mid, _ = project_to_zero_set(field_a, lo[idx] + t[:, None] * (hi[idx] - lo[idx]))
         fm = field_b.values(mid)
         root[idx] = mid
         prod = flo[idx] * fm
@@ -912,8 +900,7 @@ class VertexSetAnalysis:
 
 
 def analyze_vertex_set(vpoly: BivarPoly, *, radius: float = 0.25,
-                       resolution: int = 512, r_fit: float | None = None,
-                       fit_min: int = 8, trace_tol: float = TRACE_TOL) -> VertexSetAnalysis:
+                       resolution: int = 512, r_fit: float | None = None) -> VertexSetAnalysis:
     """Trace the zero set of a vertex function and assemble origin branches."""
     if r_fit is None:
         r_fit = radius / 3.0
@@ -922,9 +909,7 @@ def analyze_vertex_set(vpoly: BivarPoly, *, radius: float = 0.25,
     field = PolyField(vpoly)
     h = 2.0 * radius / resolution
     exclude = max(r_fit / 20.0, 4.0 * h)
-    tr = trace_zero_set(field, radius, resolution, trace_tol=trace_tol,
-                        exclude_radius=exclude)
-    bs = origin_branches(tr.curves, r_fit, fit_min=fit_min,
-                         r_origin=exclude + 3.0 * h)
+    tr = trace_zero_set(field, radius, resolution, exclude_radius=exclude)
+    bs = origin_branches(tr.curves, r_fit, r_origin=exclude + 3.0 * h)
     return VertexSetAnalysis(trace=tr, branches=bs, field=field,
                              exclude_radius=exclude)

@@ -22,14 +22,13 @@ import numpy as np
 from .errors import InputError, NearCriticalPointError
 from .poly import BivarPoly, ParamPoly, fit_scalar_ratio, max_coeff_diff
 from .surface import SurfaceFamily
+from .tracer import GRAD_FLOOR
 
 # Calibration of V against the curvature route, frozen from
 # calibrate_vertex_scale() on the cusp surface x^2 + y^2 + x^3:
 # V equals CAL_CONST * |grad f|^(2*GRAD_POWER) * d(kappa)/ds.
 GRAD_POWER = 3
 CAL_CONST = 1
-
-GRAD_FLOOR = 1e-9
 
 
 def vertex_poly(f):
@@ -112,19 +111,28 @@ def curvature(f: BivarPoly, point, *, grad_floor: float = GRAD_FLOOR) -> Curvatu
     minimum.  Points where |grad f| < grad_floor are rejected: level curves
     through near-critical points have no stable curvature.
     """
-    x, y = float(point[0]), float(point[1])
+    return _curvature_sampler(f, grad_floor)(point)
+
+
+def _curvature_sampler(f: BivarPoly, grad_floor: float):
+    """``curvature`` of f at a point, with P_0 and P_1 built once."""
     (p0, _), (p1, _) = kappa_derivative_polys(f, 1)
-    fx = float(f.diff("x").eval(x, y))
-    fy = float(f.diff("y").eval(x, y))
-    g = fx * fx + fy * fy
-    gn = math.sqrt(g)
-    if gn < grad_floor:
-        raise NearCriticalPointError(
-            f"gradient norm {gn:.3e} below floor {grad_floor:.3e} at ({x}, {y})"
-        )
-    kappa = float(p0.eval(x, y)) / g ** 1.5
-    dk = float(p1.eval(x, y)) / g ** 3
-    return CurvatureSample(point=(x, y), kappa=kappa, dkappa_ds=dk, grad_norm=gn)
+
+    def sample(point) -> CurvatureSample:
+        x, y = float(point[0]), float(point[1])
+        fx = float(f.diff("x").eval(x, y))
+        fy = float(f.diff("y").eval(x, y))
+        g = fx * fx + fy * fy
+        gn = math.sqrt(g)
+        if gn < grad_floor:
+            raise NearCriticalPointError(
+                f"gradient norm {gn:.3e} below floor {grad_floor:.3e} at ({x}, {y})"
+            )
+        kappa = float(p0.eval(x, y)) / g ** 1.5
+        dk = float(p1.eval(x, y)) / g ** 3
+        return CurvatureSample(point=(x, y), kappa=kappa, dkappa_ds=dk, grad_norm=gn)
+
+    return sample
 
 
 @dataclass(frozen=True)
@@ -174,9 +182,10 @@ def oracle_residuals(f: BivarPoly, points: np.ndarray, *,
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise InputError("points must be an (n, 2) array")
     v = vertex_poly(f)
+    curvature_at = _curvature_sampler(f, grad_floor)
     out = np.empty(len(pts))
     for i, (x, y) in enumerate(pts):
-        sample = curvature(f, (x, y), grad_floor=grad_floor)
+        sample = curvature_at((x, y))
         lhs = float(v.eval(float(x), float(y)))
         rhs = float(CAL_CONST) * sample.grad_norm ** (2 * GRAD_POWER) * sample.dkappa_ds
         out[i] = abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300)

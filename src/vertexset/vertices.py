@@ -15,8 +15,8 @@ the vertex set: a common zero of V and W = V_y f_x - V_x f_y, found by
 the census's polishing step on the sign changes of W along V = 0.  The
 transition level k* is the lowest birth fold, confirmed by two censuses.
 
-An analyzer builds f, V, G = |grad f|^2 and the curvature numerator P_0
-when it is created, which is all a count needs.  The order-4 derivative
+An analyzer builds f, V and the curvature numerator P_0 when it is
+created, which is all a count needs.  The order-4 derivative
 chain and W are built on first use, by classification and by ``folds``.
 """
 
@@ -103,8 +103,8 @@ class CriticalPoint:
 class LevelAnalyzer:
     """Shared exact machinery for all level censuses of one surface.
 
-    Built up front: f, the vertex function V (``vpoly``, ``field_v``),
-    G = |grad f|^2 (``g_poly``) and the curvature numerator P_0.  Built on
+    Built up front: f (``field_f``), the vertex function V (``vpoly``,
+    ``field_v``) and the curvature numerator P_0.  Built on
     first use and then kept: the order-4 tangential derivative chain
     ``kappa_polys`` (needed to classify vertices) and the tangency
     polynomial W (``wpoly``, ``field_w``; needed to find folds).  A census
@@ -119,7 +119,6 @@ class LevelAnalyzer:
         self.vpoly = vertex_poly(f)
         self.field_v = PolyField(self.vpoly)
         self._kappa0 = kappa_derivative_polys(f, 0)
-        self.g_poly = f.diff("x") ** 2 + f.diff("y") ** 2
         q = f.homogeneous_part(2)
         qm = np.array([[float(q.coeff(2, 0)), float(q.coeff(1, 1)) / 2.0],
                        [float(q.coeff(1, 1)) / 2.0, float(q.coeff(0, 2))]])
@@ -146,8 +145,8 @@ class LevelAnalyzer:
     def kappa_derivatives(self, pts: np.ndarray, order: int = 4) -> np.ndarray:
         """kappa and tangential derivatives 1..order at points, columns j=0..order."""
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        g = self.g_poly.eval_grid(pts[:, 0], pts[:, 1])
-        g = np.maximum(g, GRAD_FLOOR ** 2)
+        g = self.field_f.grads(pts)
+        g = np.maximum(np.einsum("ij,ij->i", g, g), GRAD_FLOOR ** 2)
         out = np.empty((len(pts), order + 1))
         chain = self._kappa0 if order == 0 else self.kappa_polys[:order + 1]
         for j, (p, e) in enumerate(chain):
@@ -298,8 +297,9 @@ class LevelAnalyzer:
         _, radius = self.trace_level(k_hi, resolution=resolution, window=window)
         tr = trace_zero_set(self.field_v, radius, resolution)
         pts, ok, _ = _roots_along(tr.curves, self.field_v, self.field_w)
-        pts = pts[ok & (self.g_poly.eval_grid(pts[:, 0], pts[:, 1]) > GRAD_FLOOR ** 2)]
-        levels = self.field_f.values(pts)
+        levels, gf = self.field_f.partials(pts, 1)
+        keep = ok & (np.einsum("ij,ij->i", gf, gf) > GRAD_FLOOR ** 2)
+        pts, levels = pts[keep], levels[keep]
         gv, gw = self.field_v.grads(pts), self.field_w.grads(pts)
         births = gw[:, 0] * gv[:, 1] - gw[:, 1] * gv[:, 0] > 0
         return sorted((Fold(point=(float(p[0]), float(p[1])), level=float(lv),
@@ -356,15 +356,14 @@ class LevelAnalyzer:
         """
         xs = np.linspace(-window, window, seeds)
         grid = np.column_stack([np.repeat(xs, len(xs)), np.tile(xs, len(xs))])
-        system = critical_system(self.field_f)
-        p, ok, _ = newton(system, grid, tol=1e-15, max_iter=30,
+        p, ok, _ = newton(critical_system(self.field_f), grid, tol=1e-15, max_iter=30,
                           max_step=0.5 * window)
-        grad, hess = system(p)
+        value, grad, hess = self.field_f.partials(p, 2)
         ok &= (np.linalg.norm(grad, axis=1) < 1e-10) & (np.abs(p).max(axis=1) <= window)
+        p, value, hess = p[ok], value[ok], hess[ok]
         found: list[CriticalPoint] = []
-        for q, h, v in zip(p[ok], hess[ok], self.field_f.values(p[ok])):
-            if any(np.linalg.norm(q - np.array(c.point)) < 1e-8 for c in found):
-                continue
+        for i in distinct_rows(p, 1e-8):
+            (x, y), h = p[i], hess[i]
             det = h[0, 0] * h[1, 1] - h[0, 1] * h[1, 0]
             if det < 0:
                 kind = "saddle"
@@ -372,8 +371,8 @@ class LevelAnalyzer:
                 kind = "min"
             else:
                 kind = "max"
-            found.append(CriticalPoint(point=(float(q[0]), float(q[1])),
-                                       value=float(v), kind=kind))
+            found.append(CriticalPoint(point=(float(x), float(y)),
+                                       value=float(value[i]), kind=kind))
         found.sort(key=lambda c: abs(c.value))
         return found
 

@@ -1,12 +1,14 @@
-"""Property tests of the dense ``eval_grid``, ``eval_lattice`` and slice kernels.
+"""Property tests of the dense ``eval_grid``, ``eval_lattice`` and
+``PolyField.partials`` kernels.
 
-Both must agree with exact rational evaluation to within
+Each must agree with exact rational evaluation to within
 1e-12 * sum |c| |x|^i |y|^j, the size of the terms they add up, for
 int, Fraction and float coefficients; ``eval_grid`` for every broadcast
 shape, on surfaces (``BivarPoly``) and on families with one or two
 parameters (``ParamPoly`` at (x, y, tau)), ``eval_lattice`` for axes of
-any lengths, length 1 included, and the x, y derivatives of order <= 2
-of family members fixed by ``ParamPoly.slices``.
+any lengths, length 1 included, and ``partials``, the x, y derivatives of
+order <= 2 of a surface and of family members fixed by
+``ParamPoly.slices``, at orders 0, 1 and 2.
 """
 
 import math
@@ -18,7 +20,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from vertexset.poly import BivarPoly, NVarPoly, ParamPoly  # noqa: E402
+from vertexset.poly import BivarPoly, NVarPoly, ParamPoly, PolyField  # noqa: E402
 
 MAX_DEGREE = 12
 
@@ -96,27 +98,41 @@ def test_param_eval_grid_matches_exact(p, n, scalar_tau, seed):
 
 
 @settings(max_examples=100)
-@given(families, sizes, sizes, st.integers(0, 2 ** 32 - 1))
-def test_slice_partials_match_exact(p, n_taus, n, seed):
-    # member m of p.slices(taus) is p at taus[m]; partials takes every x, y
-    # derivative of order <= 2 of the member named on each row
+@given(st.one_of(polynomials, families), sizes, sizes, st.integers(0, 2),
+       st.integers(0, 2 ** 32 - 1))
+def test_field_partials_match_exact(p, n_taus, n, order, seed):
+    # a BivarPoly makes a field of one member; member m of p.slices(taus) is
+    # p at taus[m], named by the third coordinate of each row; partials gives
+    # the value, gradient and Hessian, every x, y derivative of order <= 2
     rng = np.random.default_rng(seed)
-    taus = rng.uniform(-1.5, 1.5, size=(n_taus, p.nparams))
-    members = rng.integers(0, n_taus, size=n)
     x, y = rng.uniform(-1.5, 1.5, size=(2, n))
-    D = p.slices(taus).partials(members, x, y, 2)
-    assert D.shape == (n, 3, 3)
-    exact_p = ParamPoly(p.nparams, {k: Fraction(c) for k, c in p.terms.items()})
-    for a, b in np.ndindex(3, 3):
+    if isinstance(p, ParamPoly):
+        taus = rng.uniform(-1.5, 1.5, size=(n_taus, p.nparams))
+        members = rng.integers(0, n_taus, size=n)
+        out = p.slices(taus).partials(np.column_stack([x, y, members]), order)
+        params = taus[members]
+    else:
+        out = PolyField(p).partials(np.column_stack([x, y]), order)
+        params = np.zeros((n, 0))
+    assert [a.shape for a in out] == [(n,), (n, 2), (n, 2, 2)][:order + 1]
+    got = {(0, 0): out[0]}
+    if order >= 1:
+        got[1, 0], got[0, 1] = out[1].T
+    if order == 2:
+        got[2, 0], got[0, 2] = out[2][:, 0, 0], out[2][:, 1, 1]
+        assert np.array_equal(out[2][:, 0, 1], out[2][:, 1, 0])
+        got[1, 1] = out[2][:, 0, 1]
+    exact_p = NVarPoly(p.nvars, {k: Fraction(c) for k, c in p.terms.items()})
+    for (a, b), d in got.items():
         q = exact_p
-        for var, times in (("x", a), ("y", b)):
+        for index, times in ((0, a), (1, b)):
             for _ in range(times):
-                q = q.diff(var)
-        for r, m in enumerate(members):
-            point = [Fraction(float(v)) for v in (x[r], y[r], *taus[m])]
+                q = q.diff(index)
+        for r in range(n):
+            point = [Fraction(float(v)) for v in (x[r], y[r], *params[r])]
             scale = sum(abs(c) * math.prod(abs(v) ** e for v, e in zip(point, k))
                         for k, c in q.terms.items())
-            assert abs(Fraction(float(D[r, a, b])) - q.eval(point)) <= Fraction(1e-12) * scale
+            assert abs(Fraction(float(d[r])) - q.eval(point)) <= Fraction(1e-12) * scale
 
 
 @pytest.mark.parametrize("sx, sy", [((), ()), ((5,), (5,)), ((3, 4), (3, 4)),
