@@ -445,17 +445,15 @@ def _cmd_trace_vertex_set(cfg: RunConfig) -> int:
 
 def _cmd_level_census(cfg: RunConfig) -> int:
     la = LevelAnalyzer(cfg.family.f_at(cfg.tau))
-    census = la.census(cfg.level, resolution=cfg.resolution, window=cfg.window)
+    census, tr = la._census_and_trace(cfg.level, cfg.resolution, cfg.window, True)
     rows = [(cfg.level, census.vertex_count, r.point[0], r.point[1],
              r.kappa, r.degeneracy, r.extremum or "")
             for r in census.records]
     _write_csv(cfg.csv_path,
                ["k", "count", "x", "y", "kappa", "degeneracy", "extremum"],
                rows)
-    tr, radius = la.trace_level(cfg.level, resolution=cfg.resolution,
-                                window=cfg.window)
-    plot = SvgPlot(radius * 1.1)
-    plot.circle(0.0, 0.0, radius)
+    plot = SvgPlot(census.trace_radius * 1.1)
+    plot.circle(0.0, 0.0, census.trace_radius)
     for c in tr.curves:
         plot.polyline(c.points)
     colors = {"max": "#d62728", "min": "#2ca02c"}

@@ -383,37 +383,19 @@ def _assemble_chains(nbr: np.ndarray) -> list:
     deg = np.count_nonzero(nbr >= 0, axis=1).tolist()
     visited = [False] * len(nb)
     chains = []
-    for start in range(len(nb)):
-        if visited[start] or deg[start] != 1:
-            continue
-        chain = [start]
-        visited[start] = True
-        prev, cur = start, nb[start][0]
-        while True:
-            chain.append(cur)
-            visited[cur] = True
-            a, b = nb[cur]
-            nxt = b if a == prev else a
-            if nxt < 0 or visited[nxt]:
-                break
-            prev, cur = cur, nxt
-        chains.append((chain, False))
-    for start in range(len(nb)):
-        if visited[start] or deg[start] != 2:
-            continue
-        chain = [start]
-        visited[start] = True
-        prev, cur = start, nb[start][0]
-        while cur != start and not visited[cur]:
-            chain.append(cur)
-            visited[cur] = True
-            a, b = nb[cur]
-            nxt = b if a == prev else a
-            if nxt < 0:
-                break
-            prev, cur = cur, nxt
-        closed = cur == start and len(chain) > 2
-        chains.append((chain, closed))
+    for start_deg in (1, 2):
+        for start in range(len(nb)):
+            if visited[start] or deg[start] != start_deg:
+                continue
+            chain = [start]
+            visited[start] = True
+            prev, cur = start, nb[start][0]
+            while cur >= 0 and not visited[cur]:
+                chain.append(cur)
+                visited[cur] = True
+                a, b = nb[cur]
+                prev, cur = cur, (b if a == prev else a)
+            chains.append((chain, cur == start and len(chain) > 2))
     return chains
 
 

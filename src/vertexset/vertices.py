@@ -15,9 +15,12 @@ the vertex set: a common zero of V and W = V_y f_x - V_x f_y, found by
 the census's polishing step on the sign changes of W along V = 0.  The
 transition level k* is the lowest birth fold, confirmed by two censuses.
 
-An analyzer builds f, V and the curvature numerator P_0 when it is
-created, which is all a count needs.  The order-4 derivative
-chain and W are built on first use, by classification and by ``folds``.
+An analyzer builds f and V when it is created.  The curvature numerator
+P_0 (all a count needs), the order-4 derivative chain and W are built on
+first use, by a census, by classification and by ``folds``.  Each level is
+traced at most once, in a disc sized from the sign of f - k on its
+boundary circle; classification takes its derivative scales from that
+same trace, and ``folds`` traces only V.
 """
 
 from __future__ import annotations
@@ -103,12 +106,13 @@ class CriticalPoint:
 class LevelAnalyzer:
     """Shared exact machinery for all level censuses of one surface.
 
-    Built up front: f (``field_f``), the vertex function V (``vpoly``,
-    ``field_v``) and the curvature numerator P_0.  Built on
-    first use and then kept: the order-4 tangential derivative chain
-    ``kappa_polys`` (needed to classify vertices) and the tangency
+    Built up front: f (``field_f``) and the vertex function V (``vpoly``,
+    ``field_v``).  Built on first use and then kept: the curvature
+    numerator P_0 (needed to count), the order-4 tangential derivative
+    chain ``kappa_polys`` (needed to classify vertices) and the tangency
     polynomial W (``wpoly``, ``field_w``; needed to find folds).  A census
-    with ``classify=False`` builds neither.
+    with ``classify=False`` builds neither of the last two, and ``folds``
+    builds no curvature polynomial.
     """
 
     def __init__(self, f: BivarPoly):
@@ -118,12 +122,15 @@ class LevelAnalyzer:
         self.field_f = PolyField(f)
         self.vpoly = vertex_poly(f)
         self.field_v = PolyField(self.vpoly)
-        self._kappa0 = kappa_derivative_polys(f, 0)
         q = f.homogeneous_part(2)
         qm = np.array([[float(q.coeff(2, 0)), float(q.coeff(1, 1)) / 2.0],
                        [float(q.coeff(1, 1)) / 2.0, float(q.coeff(0, 2))]])
         self.quad_eigs = tuple(np.linalg.eigvalsh(qm))
-        self._vertex_scale_cache: dict = {}
+
+    @cached_property
+    def _kappa0(self) -> list:
+        """(P_0, e_0): the curvature alone, all a count needs."""
+        return kappa_derivative_polys(self.f, 0)
 
     @cached_property
     def kappa_polys(self) -> list:
@@ -155,26 +162,37 @@ class LevelAnalyzer:
 
     # -- tracing a level -----------------------------------------------------
 
-    def trace_level(self, k: float, *, resolution: int = 384, window: float = 0.6):
-        """Trace f = k adaptively: grow the disc until the curve closes."""
-        k = float(k)
+    def _closing_radius(self, k: float, resolution: int, window: float) -> float:
+        """Radius of the disc that closes the level curve f = k.
+
+        Starts at 1.35 sqrt(k / e_min), or at the window where the quadratic
+        part of f is not positive definite, and grows by 1.8, up to the
+        window, while f - k changes sign on the boundary circle.  The circle
+        is sampled at 4 * resolution points, finer than the lattice of a
+        trace at that resolution.
+        """
         e_min = self.quad_eigs[0]
-        if e_min > 0:
-            if k <= 0:
-                raise DegenerateLevelError(
-                    f"level {k} at or below the organizing minimum has no curve"
-                )
-            r = min(window, 1.35 * math.sqrt(k / e_min))
-        else:
-            r = window
-        level_poly = self.f - k
-        while True:
-            tr = trace_zero_set(PolyField(level_poly), r, resolution)
-            if not any(c.boundary_hits for c in tr.curves) and tr.curves:
-                break
-            if r >= window or not tr.curves:
+        if e_min <= 0:
+            return window
+        if k <= 0:
+            raise DegenerateLevelError(
+                f"level {k} at or below the organizing minimum has no curve"
+            )
+        r = min(window, 1.35 * math.sqrt(k / e_min))
+        theta = np.linspace(0.0, 2 * math.pi, 4 * resolution, endpoint=False)
+        ring = np.column_stack([np.cos(theta), np.sin(theta)])
+        while r < window:
+            s = self.field_f.values(r * ring) >= k
+            if s.all() or not s.any():
                 break
             r = min(window, 1.8 * r)
+        return r
+
+    def trace_level(self, k: float, *, resolution: int = 384, window: float = 0.6):
+        """Trace f = k once, in the disc ``_closing_radius`` picks."""
+        k = float(k)
+        r = self._closing_radius(k, resolution, window)
+        tr = trace_zero_set(PolyField(self.f - k), r, resolution)
         if not tr.curves:
             raise DegenerateLevelError(f"no level curve found for k={k} "
                                        f"within radius {r}")
@@ -185,6 +203,13 @@ class LevelAnalyzer:
     def census(self, k: float, *, resolution: int = 384, window: float = 0.6,
                classify: bool = True) -> LevelCensus:
         """Count and classify the vertices of the level curve f = k."""
+        return self._census_and_trace(k, resolution, window, classify)[0]
+
+    def _census_and_trace(self, k: float, resolution: int, window: float,
+                          classify: bool) -> tuple:
+        """The census of f = k and the trace it counted on.  A census does
+        not keep its trace: callers that hold many censuses would hold
+        every traced point with them."""
         tr, radius = self.trace_level(k, resolution=resolution, window=window)
         vertices, _, vmax = _roots_along(tr.curves, PolyField(self.f - k), self.field_v)
         if vmax < 1e-13 * max(self.vpoly.bound_on_disc(radius), 1e-300):
@@ -192,19 +217,20 @@ class LevelAnalyzer:
                 "vertex function vanishes along the whole level curve; "
                 "every point is a vertex"
             )
-        records = self._records(vertices, k, radius, classify)
-        return LevelCensus(level=k, vertex_count=len(records), records=records,
-                           closed=all(c.closed for c in tr.curves),
-                           trace_radius=radius,
-                           residual_bound=max((c.residual_bound
-                                               for c in tr.curves), default=0.0))
+        records = self._records(vertices, k, tr.curves, classify)
+        census = LevelCensus(level=k, vertex_count=len(records), records=records,
+                             closed=all(c.closed for c in tr.curves),
+                             trace_radius=radius,
+                             residual_bound=max((c.residual_bound
+                                                 for c in tr.curves), default=0.0))
+        return census, tr
 
-    def _records(self, pts: np.ndarray, k: float, radius: float, classify: bool) -> tuple:
+    def _records(self, pts: np.ndarray, k: float, curves: list, classify: bool) -> tuple:
         if not len(pts):
             return ()
         d = self.kappa_derivatives(pts, order=4 if classify else 0)
         if classify:
-            scales = self._derivative_scales(k, radius)
+            scales = self._derivative_scales(curves)
             kinds = [_classify_from_derivatives(dp[1:], scales) for dp in d]
         else:
             kinds = [("unchecked", "none")] * len(pts)
@@ -212,23 +238,11 @@ class LevelAnalyzer:
                                   kappa=float(dp[0]), degeneracy=deg, extremum=ext)
                      for p, dp, (deg, ext) in zip(pts, d, kinds))
 
-    def _derivative_scales(self, k: float, radius: float) -> np.ndarray:
-        """Typical magnitudes of derivatives 1..4 along the level curve."""
-        key = ("scales", k, radius)
-        s = self._vertex_scale_cache.get(key)
-        if s is not None:
-            return s
-        ring = np.linspace(0, 2 * math.pi, 96, endpoint=False)
-        seeds = radius * 0.7 * np.column_stack([np.cos(ring), np.sin(ring)])
-        q, _ = project_to_zero_set(PolyField(self.f - k), seeds)
-        on = np.abs(self.field_f.values(q) - k) < 1e-9 * max(abs(k), 1e-9)
-        if on.sum() < 8:
-            raise NumericError("could not sample the level curve for scaling")
-        d = self.kappa_derivatives(q[on], order=4)
-        s = np.median(np.abs(d[:, 1:]), axis=0)
-        s = np.maximum(s, 1e-300)
-        self._vertex_scale_cache[key] = s
-        return s
+    def _derivative_scales(self, curves: list) -> np.ndarray:
+        """Typical magnitudes of derivatives 1..4 along a traced level curve:
+        the medians of their absolute values over the traced points."""
+        d = self.kappa_derivatives(np.vstack([c.points for c in curves]), order=4)
+        return np.maximum(np.median(np.abs(d[:, 1:]), axis=0), 1e-300)
 
     # -- degeneracy classification -------------------------------------------
 
@@ -238,7 +252,7 @@ class LevelAnalyzer:
         "fd" differentiates the curvature along the curve numerically."""
         p = np.asarray(point, dtype=float)
         tr, radius = self.trace_level(level, window=window)
-        scales = self._derivative_scales(level, radius)
+        scales = self._derivative_scales(tr.curves)
         if method == "exact":
             d = self.kappa_derivatives(p[None, :], order=4)[0]
             derivs = d[1:]
@@ -289,12 +303,13 @@ class LevelAnalyzer:
               window: float = 0.6) -> list:
         """Folds of f on the vertex set {V = 0} below the level k_hi, by level.
 
-        V = 0 is traced in the disc that holds the closed level curve
-        f = k_hi, and the sign changes of W along it are polished on
-        (V, W) = 0.  Rows that did not converge, or that sit on a critical
-        point of f (where V and W vanish trivially), are dropped.
+        V = 0 is traced in the disc that closes the level curve f = k_hi
+        (see ``_closing_radius``; the level itself is not traced), and the
+        sign changes of W along it are polished on (V, W) = 0.  Rows that
+        did not converge, or that sit on a critical point of f (where V and
+        W vanish trivially), are dropped.
         """
-        _, radius = self.trace_level(k_hi, resolution=resolution, window=window)
+        radius = self._closing_radius(float(k_hi), resolution, window)
         tr = trace_zero_set(self.field_v, radius, resolution)
         pts, ok, _ = _roots_along(tr.curves, self.field_v, self.field_w)
         levels, gf = self.field_f.partials(pts, 1)
@@ -339,7 +354,7 @@ class LevelAnalyzer:
         if seen != TRANSITION_COUNTS:
             raise NoTransitionError(f"counts {seen} across the birth fold at "
                                     f"k = {kstar:.6e}, expected {TRANSITION_COUNTS}")
-        rec = self.classify_vertex(folds[i].point, kstar)
+        rec = self.classify_vertex(folds[i].point, kstar, window=window)
         return KStarResult(kstar=kstar, merge_point=folds[i].point,
                            bracket=bracket, count_low=TRANSITION_COUNTS[0],
                            count_high=TRANSITION_COUNTS[1], degeneracy=rec.degeneracy)

@@ -74,6 +74,13 @@ class TestCensus:
         with pytest.raises(DegenerateLevelError):
             ellipse.census(1.0, window=0.6)
 
+    @pytest.mark.xfail(strict=True, reason=(
+        "ROADMAP item 1: the two vertices born just above k* fall inside one "
+        "polyline segment, so the grid census sees no sign change of V"))
+    def test_six_vertices_just_above_kstar(self, deformed):
+        assert deformed.census(KSTAR_05_02 * (1 + 1e-5),
+                               classify=False).vertex_count == 6
+
     def test_umbilic_level_has_six_vertices(self):
         la = LevelAnalyzer(make_canonical_family(1, 0, 2).f_at((0.0, 0.0)))
         c = la.census(1e-3)
@@ -213,6 +220,18 @@ class TestCountTransition:
         for fd in folds:
             assert fd.level > 1e-2
             assert math.dist(fd.point, saddle.point) > 1e-2
+
+    def test_window_reaches_merge_classification(self, deformed, monkeypatch):
+        windows = []
+        classify = LevelAnalyzer.classify_vertex
+
+        def spy(self, point, level, **kw):
+            windows.append(kw.get("window"))
+            return classify(self, point, level, **kw)
+
+        monkeypatch.setattr(LevelAnalyzer, "classify_vertex", spy)
+        deformed.count_transition(1e-4, 1e-2, window=0.5)
+        assert windows == [0.5]
 
     def test_no_transition_in_flat_range(self, deformed):
         with pytest.raises(NoTransitionError):
@@ -381,6 +400,33 @@ class TestLazyConstruction:
         assert "wpoly" not in vars(la)
         assert ([r.kappa for r in counted.records]
                 == [r.kappa for r in classified.records])
+
+
+class TestTraceTraffic:
+    def test_each_level_traced_once(self, deformed, monkeypatch):
+        traced = []
+        trace = vertices.trace_zero_set
+
+        def spy(field, *args, **kwargs):
+            traced.append(field)
+            return trace(field, *args, **kwargs)
+
+        def no_projection(*args, **kwargs):
+            raise AssertionError("derivative scales come from the traced level")
+
+        monkeypatch.setattr(vertices, "trace_zero_set", spy)
+        monkeypatch.setattr(vertices, "project_to_zero_set", no_projection)
+        deformed.folds(1e-2)
+        assert traced == [deformed.field_v]
+        traced.clear()
+        c = deformed.census(2e-3)
+        assert len(traced) == 1
+        traced.clear()
+        deformed.classify_vertex(c.records[0].point, 2e-3)
+        assert len(traced) == 1
+        traced.clear()
+        deformed.count_transition(1e-4, 1e-2)
+        assert len(traced) == 4
 
 
 def _polish_vertex_reference(la, pa, pb, k):
