@@ -12,7 +12,9 @@ for k*(r u) = k on the folds of f on the vertex set), the exact reference
 parametrization those sections are compared against, and the
 self-intersection point of a vertex set on the discriminant.  Every
 system over (x, y) and a parameter path goes through one Newton solver,
-``_newton_xyt``, with one residual gate.
+``_newton_xyt``, with one residual gate; both evaluate the family members
+at the rows and their partials in x, y and the parameters through
+``ParamPoly.slices``.
 
 Angles in parameter space are degrees throughout.  Scan samples are
 processed independently in index order, and every sample records the
@@ -67,8 +69,6 @@ CUSP_MIN_TURN = 0.35
 @dataclass
 class ScanSample:
     tau: tuple
-    label: int | None = None
-    kind: str | None = None
     kstar: float | None = None
     q_value: float | None = None
     merge_point: tuple | None = None
@@ -431,13 +431,9 @@ def _section_radius(family: SurfaceFamily, u: tuple, k: float, r: float,
     def h(r):
         if not r_min <= r <= r_max:
             raise NoTransitionError(f"radius {r:.6g} outside [r_min, r_max]")
-        lo, hi = (b * r * r for b in KSTAR_BRACKET)
-        folds = LevelAnalyzer(family.f_at((r * u[0], r * u[1]))).folds(
-            hi, resolution=resolution)
-        births = [fd.level for fd in folds if fd.birth and fd.level > lo]
-        if not births:
-            raise NoTransitionError(f"no birth fold at r = {r:.6g}")
-        return math.log(births[0] / k)
+        folds, i = LevelAnalyzer(family.f_at((r * u[0], r * u[1])))._transition_fold(
+            *(b * r * r for b in KSTAR_BRACKET), resolution)
+        return math.log(folds[i].level / k)
 
     s, hs = math.log(r), h(r)
     step = -hs / 2.0
@@ -566,30 +562,33 @@ def _newton_xyt(polys: list, path, seeds, *, max_iter: int,
 
     ``path(t)`` gives tau(t) and dtau/dt, so the Jacobian's t column is
     sum_k dtau_k/dt dp/dtau_k; a line in tau has a unit dtau/dt, a circle a
-    tangent one.  ``seeds`` are rows (x, y, t), solved in one batch: the
-    x, y and parameter derivatives of every p are built once, and each
-    Newton step evaluates them all at the rows (x, y, tau(t)) with one
-    ``eval_grid`` call each.  A row is solved when Newton converged and
-    every |p| at the solution is at most 1e-8 bound_on_disc(2 |(x, y)|) of
-    p there.  Returns the states, the solved flags, the step counts and
-    the relative residuals |p| / bound_on_disc, one row each.
+    tangent one.  ``seeds`` are rows (x, y, t), solved in one batch: each
+    Newton step takes the members p(., ., tau(t)) of every p at the rows
+    (``ParamPoly.slices``, row r naming member r) and their x, y and
+    parameter partials from one ``partials`` call each.  A row is solved
+    when Newton converged and every |p| at the solution is at most
+    1e-8 bound_on_disc(2 |(x, y)|) of the member there.  Returns the
+    states, the solved flags, the step counts and the relative residuals
+    |p| / bound_on_disc, one row each.
     """
-    parts = [[p, p.diff("x"), p.diff("y")] + [p.diff_param(k) for k in range(p.nparams)]
-             for p in polys]
+    def members(states):
+        tau, dtau = np.reshape([path(t) for t in states[:, 2]],
+                               (-1, 2, polys[0].nparams)).transpose(1, 0, 2)
+        rows = np.column_stack([states[:, :2], np.arange(len(states))])
+        return [p.slices(tau) for p in polys], rows, dtau
 
     def system(states):
-        x, y, t = states.T
-        tau, dtau = (np.array(a).T for a in zip(*map(path, t)))
-        vals = np.array([[q.eval_grid(x, y, *tau) for q in qs] for qs in parts])
-        J = np.stack([vals[:, 1], vals[:, 2], np.einsum("ikr,kr->ir", vals[:, 3:], dtau)],
-                     axis=-1)
-        return vals[:, 0].T, J.transpose(1, 0, 2)
+        fields, rows, dtau = members(states)
+        vals, grads = zip(*(f.partials(rows, 1) for f in fields))
+        J = [np.column_stack([g[:, :2], np.einsum("rk,rk->r", g[:, 2:], dtau)]) for g in grads]
+        return np.column_stack(vals), np.stack(J, axis=1)
 
     state, converged, steps = newton(system, np.reshape(seeds, (-1, 3)), tol=1e-15,
                                      max_iter=max_iter, max_step=max_step)
-    rel = np.array([[abs(q.eval(x, y)) / max(q.bound_on_disc(2.0 * math.hypot(x, y)), 1e-300)
-                     for q in (p.substitute_params(path(t)[0]) for p in polys)]
-                    for x, y, t in state]).reshape(len(state), len(polys))
+    fields, rows, _ = members(state)
+    radius = 2.0 * np.hypot(state[:, 0], state[:, 1])
+    rel = np.column_stack([np.abs(f.partials(rows, 0)[0])
+                           / np.maximum(f.bound_on_disc(radius), 1e-300) for f in fields])
     return state, converged & (rel <= 1e-8).all(axis=1), steps, rel
 
 

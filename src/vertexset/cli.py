@@ -556,16 +556,17 @@ def _cmd_cup_reference(cfg: RunConfig) -> int:
     world = float(np.abs(ref).max()) if ref.size and np.abs(ref).max() > 0 \
         else 1.0
     plot = SvgPlot(world)
+    cusps = []
     if cfg.k > 0:
+        cusps = detect_polyline_cusps(ref)
         plot.polyline(ref, "#c44e52")
-        for i in detect_polyline_cusps(ref):
+        for i in cusps:
             plot.dot(ref[i][0], ref[i][1])
     else:
         plot.dot(0.0, 0.0)
     plot.write(cfg.svg_path)
-    n_cusps = len(detect_polyline_cusps(ref)) if cfg.k > 0 else 0
     print(f"reference section at k = {cfg.k:.17g}: {cfg.samples} samples, "
-          f"{n_cusps} cusps")
+          f"{len(cusps)} cusps")
     print(f"csv: {cfg.csv_path}")
     print(f"svg: {cfg.svg_path}")
     return 0

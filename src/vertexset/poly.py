@@ -13,9 +13,11 @@ x and y:
 
 ``PolyField`` evaluates a plane polynomial, or the members of a family at
 fixed parameters (``ParamPoly.slices``), with its x, y partial derivatives
-up to order 2 in one kernel.  The tracer's projections and Newton solves
-and the critical-point solves take their derivatives from it, so none of
-them builds a derivative polynomial.
+up to order 2 and a member's parameter partials in one kernel, from
+partials stacked once per polynomial.  The tracer's projections and
+Newton solves, the critical-point solves and the (x, y, t) solves of the
+scans take their derivatives from it, so none of them builds a
+derivative polynomial.
 
 Ring operations return a polynomial of the class of their left operand.
 Every polynomial evaluates through ``NVarPoly``: ``eval`` at one point,
@@ -103,7 +105,7 @@ class NVarPoly:
     or floats.
     """
 
-    __slots__ = ("nvars", "terms", "_dense_cache", "_diff_cache")
+    __slots__ = ("nvars", "terms", "_dense_cache", "_diff_cache", "_stack_cache")
 
     def __init__(self, nvars: int, terms: Mapping | None = None):
         if nvars < 0:
@@ -382,6 +384,14 @@ class _PlaneView:
         y = self._with({_unit(self.nvars, 1): 1})
         return self.substitute({0: x * c + y * s, 1: x * -s + y * c})
 
+    def _partials(self) -> np.ndarray:
+        """``_partial_stack`` of the dense coefficients, cached (the slot
+        stays unset until the first call)."""
+        st = getattr(self, "_stack_cache", None)
+        if st is None:
+            st = self._stack_cache = _partial_stack(self._dense_coeffs())
+        return st
+
 
 class BivarPoly(_PlaneView, NVarPoly):
     """Sparse polynomial in the surface variables (x, y)."""
@@ -421,11 +431,6 @@ class BivarPoly(_PlaneView, NVarPoly):
 
     def is_exact(self) -> bool:
         return all(isinstance(c, (int, Fraction)) for c in self.terms.values())
-
-    def bound_on_disc(self, radius: float) -> float:
-        """sum |c| radius^(i+j): a bound on |p| over the disc of that radius,
-        the scale residuals of p are measured against."""
-        return sum(abs(float(c)) * radius ** (i + j) for (i, j), c in self.terms.items())
 
     # -- evaluation ------------------------------------------------------
 
@@ -525,12 +530,6 @@ class ParamPoly(_PlaneView, NVarPoly):
         """Keep only the terms of degree ``d`` in the parameters."""
         return self._with({k: c for k, c in self.terms.items() if sum(k[2:]) == d})
 
-    def diff_param(self, index: int) -> "ParamPoly":
-        """Derivative with respect to parameter ``index``."""
-        if not (0 <= index < self.nparams):
-            raise InputError(f"parameter index {index} out of range for {self.nparams} parameters")
-        return NVarPoly.diff(self, 2 + index)
-
     def substitute_params(self, tau: Iterable) -> BivarPoly:
         """Evaluate at the parameter point ``tau``.
 
@@ -570,16 +569,17 @@ class ParamPoly(_PlaneView, NVarPoly):
         ``PolyField`` whose points are rows (x, y, s).
 
         The parameter monomials of all rows form one (S, d_1, .., d_n)
-        array, and one tensor product contracts it with the parameter axes
-        of the dense coefficients.
+        array, and one matrix product contracts it with the parameter axes
+        of the stacked partials of p (``_partial_stack``, built once), so
+        each member carries its parameter partials dp/dtau_k too.
         """
         taus = np.asarray(taus, dtype=np.float64).reshape(-1, self.nparams)
-        c = self._dense_coeffs()
+        st = self._partials()
         m = np.ones(len(taus))
-        for k, d in enumerate(c.shape[2:]):
+        for k, d in enumerate(st.shape[3:]):
             m = m[..., None] * _power_rows(taus[:, k], d).T.reshape(len(taus), *(1,) * k, d)
-        params = list(range(2, c.ndim))
-        return PolyField(np.tensordot(m, c, axes=([a - 1 for a in params], params)))
+        t = m.reshape(len(taus), -1) @ st.reshape(math.prod(st.shape[:3]), -1).T
+        return PolyField(np.ascontiguousarray(t.reshape(-1, *st.shape[:3]).swapaxes(0, 1)))
 
     def at_zero(self) -> BivarPoly:
         """The member of the family at parameter 0 (parameter-free terms)."""
@@ -591,23 +591,23 @@ class ParamPoly(_PlaneView, NVarPoly):
 
 class PolyField:
     """A plane polynomial F, or the members of a family at fixed
-    parameters, evaluated with its x, y partial derivatives.
+    parameters, evaluated with its partial derivatives.
 
-    ``PolyField(p)`` holds one ``BivarPoly`` p, or the members with the
-    dense coefficients p[s] of an (S, nx, ny) array (``ParamPoly.slices``),
-    whose points are rows (x, y, s) naming the member s.  Every partial
-    derivative comes from one kernel, ``partials``: the dense coefficients
-    of the partials of order <= 2 are stacked once, one matrix product
-    contracts the stack with the powers of y, and one sum of products with
-    the powers of x.  F alone comes from ``eval_grid``, whose Horner rule
-    in x beats the powers of x on large batches.
+    ``PolyField(p)`` holds one ``BivarPoly`` p, or the members s of a
+    family with the stacked partials of ``_partial_stack`` at each member,
+    a (6 + n, S, nx, ny) array (``ParamPoly.slices``), whose points are
+    rows (x, y, s) naming the member s.  Every partial derivative comes
+    from one kernel, ``partials``: one matrix product contracts the stack
+    with the powers of y, and one sum of products with the powers of x.
+    F alone comes from ``eval_grid``, whose Horner rule in x beats the
+    powers of x on large batches.
     """
 
     __slots__ = ("p", "_stack")
 
     def __init__(self, p: BivarPoly | np.ndarray):
         self.p = p if isinstance(p, BivarPoly) else None
-        self._stack = _partial_stack(p if self.p is None else p._dense_coeffs()[None])
+        self._stack = p if self.p is None else p._partials()[:, None]
 
     def value(self, x: float, y: float) -> float:
         return float(self.p.eval(float(x), float(y)))
@@ -620,9 +620,11 @@ class PolyField:
         return self.partials(pts, 1)[1]
 
     def partials(self, pts, order: int) -> tuple:
-        """F at the rows of ``pts``, with its gradient for ``order`` >= 1
-        and its Hessian for ``order`` 2: arrays of shapes (n,), (n, 2) and
-        (n, 2, 2)."""
+        """F at the rows of ``pts``, with its gradient for ``order`` 1 and
+        its x, y gradient and Hessian for ``order`` 2: arrays of shapes
+        (n,), (n, 2) and (n, 2, 2).  On family members the gradient of
+        ``order`` 1 has the columns dF/dtau_k after dF/dx and dF/dy, so its
+        shape is (n, 2 + nparams)."""
         if order not in (0, 1, 2):
             raise InputError("partials are available up to order 2")
         pts = np.asarray(pts, dtype=np.float64)
@@ -630,36 +632,47 @@ class PolyField:
         if order == 0 and self.p is not None:
             return (self.values(pts),)
         n = len(pts)
-        m = (1, 3, 6)[order]
-        _, s, nx, ny = self._stack.shape
+        # order 0 contracts F, order 1 F, F_x, F_y and F_tau_k, order 2
+        # F_xx, F_xy, F_yy, F, F_x and F_y (see ``_partial_stack``)
+        st = self._stack[(slice(3, 4), slice(3, None), slice(0, 6))[order]]
+        m, s, nx, ny = st.shape
         # powers of x in the first n columns, of y in the last n
         pw = _power_rows(pts[:, :2].T.ravel(), max(nx, ny))
-        t = (self._stack[:m].reshape(-1, nx, ny) @ pw[:ny, n:]).reshape(m, s, nx, n)
+        t = (st.reshape(-1, nx, ny) @ pw[:ny, n:]).reshape(m, s, nx, n)
         # each row takes the member its third coordinate names
         t = t[:, 0] if s == 1 else t[:, pts[:, 2].astype(np.intp), :, np.arange(n)].transpose(1, 2, 0)
         d = np.einsum("pin,in->pn", t, pw[:nx, :n])
-        out = [d[0]]
-        if order >= 1:
-            out.append(d[1:3].T)
-        if order == 2:
-            out.append(d[[[3, 4], [4, 5]]].transpose(2, 0, 1))
-        return tuple(out)
+        if order < 2:
+            return (d[0], d[1:].T)[:order + 1]
+        return d[3], d[4:].T, d[[[0, 1], [1, 2]]].transpose(2, 0, 1)
+
+    def bound_on_disc(self, radius) -> np.ndarray:
+        """sum |c_ij| radius^(i+j) over the coefficients c_ij of each
+        member: a bound on |F| over the disc of that radius, the scale
+        residuals of F are measured against.  ``radius`` is one value, or
+        one per member."""
+        c = np.abs(self._stack[3])
+        s, nx, ny = c.shape
+        pw = _power_rows(np.broadcast_to(np.asarray(radius, dtype=np.float64), s), max(nx, ny))
+        return np.einsum("sij,is,js->s", c, pw[:nx], pw[:ny])
 
 
 def _partial_stack(c: np.ndarray) -> np.ndarray:
-    """The dense coefficients of F, F_x, F_y, F_xx, F_xy and F_yy, in this
-    order, for the members with coefficients c[s] (an (S, nx, ny) array):
-    one (6, S, nx, ny) array.  Each derivative shifts the coefficients of
-    the one before it down by one power and weights them by the exponent."""
-    _, nx, ny = c.shape
-    wx, wy = np.arange(1, nx)[:, None], np.arange(1, ny)
-    out = np.zeros((6,) + c.shape)
-    out[0] = c
-    out[1, :, :-1] = wx * c[:, 1:]
-    out[2, :, :, :-1] = wy * c[:, :, 1:]
-    out[3, :, :-1] = wx * out[1, :, 1:]
-    out[4, :, :, :-1] = wy * out[1, :, :, 1:]
-    out[5, :, :, :-1] = wy * out[2, :, :, 1:]
+    """The dense coefficients of F_xx, F_xy, F_yy, F, F_x, F_y and
+    F_tau_k, k = 1..n, in this order, for the polynomial with dense
+    coefficients c (axes x, y and the n parameters): one (6 + n,) + c.shape
+    array, in which the partials of each order of ``PolyField.partials``
+    are one slice.  Each derivative shifts the coefficients of the one it
+    differentiates down one power along its axis and weights them by the
+    exponent."""
+    out = np.zeros((4 + c.ndim,) + c.shape)
+    out[3] = c
+    w = [np.arange(1, n).reshape((-1,) + (1,) * (c.ndim - 1 - a)) for a, n in enumerate(c.shape)]
+    steps = [(4, 3, 0), (5, 3, 1), (0, 4, 0), (1, 4, 1), (2, 5, 1)] + [
+        (4 + a, 3, a) for a in range(2, c.ndim)]
+    for k, src, axis in steps:
+        cut = (slice(None),) * axis
+        out[(k, *cut, slice(None, -1))] = w[axis] * out[(src, *cut, slice(1, None))]
     return out
 
 

@@ -34,8 +34,7 @@ class SurfaceFamily:
     analysis modules (vertex function, sector anchors).
     """
 
-    def __init__(self, f: ParamPoly, param_names: tuple[str, ...] | None = None,
-                 origin_normalized: bool = True):
+    def __init__(self, f: ParamPoly, param_names: tuple[str, ...] | None = None):
         if not isinstance(f, ParamPoly):
             raise InputError("a surface family is built from a ParamPoly")
         if any(k[0] + k[1] < 2 for k in f.terms):
@@ -50,7 +49,6 @@ class SurfaceFamily:
         self.param_names = tuple(param_names) if param_names else tuple(
             f"p{i}" for i in range(f.nparams)
         )
-        self.origin_normalized = origin_normalized
         self.cache: dict = {}
 
     def f_at(self, tau) -> BivarPoly:
@@ -159,8 +157,7 @@ def normal_form_rotation(s: SurfaceFamily, *, tol: float = NORMAL_FORM_TOL) -> N
     theta = (math.atan2(-g0, g1) / 3) % (math.pi / 3)
     if abs(_normal_form_gap(cubic, theta)) > tol:
         raise NumericError("normal-form rotation did not converge within tolerance")
-    rotated = SurfaceFamily(s.f.rotate(theta), param_names=s.param_names,
-                            origin_normalized=s.origin_normalized)
+    rotated = SurfaceFamily(s.f.rotate(theta), param_names=s.param_names)
     return NormalFormRotation(theta=theta, family=rotated)
 
 

@@ -212,7 +212,7 @@ class LevelAnalyzer:
         every traced point with them."""
         tr, radius = self.trace_level(k, resolution=resolution, window=window)
         vertices, _, vmax = _roots_along(tr.curves, PolyField(self.f - k), self.field_v)
-        if vmax < 1e-13 * max(self.vpoly.bound_on_disc(radius), 1e-300):
+        if vmax < 1e-13 * max(self.field_v.bound_on_disc(radius)[0], 1e-300):
             raise DegenerateLevelError(
                 "vertex function vanishes along the whole level curve; "
                 "every point is a vertex"
@@ -322,6 +322,19 @@ class LevelAnalyzer:
                        for p, lv, b in zip(pts, levels, births) if lv < k_hi),
                       key=lambda fd: fd.level)
 
+    def _transition_fold(self, k_lo: float, k_hi: float, resolution: int,
+                         window: float = 0.6) -> tuple:
+        """The folds of f on V = 0 with levels in (k_lo, k_hi), by level, and
+        the index among them of the lowest birth fold, the transition k*;
+        NoTransitionError when there is none."""
+        folds = [fd for fd in self.folds(k_hi, resolution=resolution,
+                                         window=window) if fd.level > k_lo]
+        i = next((i for i, fd in enumerate(folds) if fd.birth), None)
+        if i is None:
+            raise NoTransitionError(f"no birth fold of f on the vertex set in "
+                                    f"[{k_lo:.3e}, {k_hi:.3e}]")
+        return folds, i
+
     def count_transition(self, k_lo: float, k_hi: float, *, resolution: int = 256,
                          rel_tol: float = 1e-4, window: float = 0.6) -> KStarResult:
         """Find the level k* where the vertex count steps from 4 to 6.
@@ -335,12 +348,7 @@ class LevelAnalyzer:
         """
         if not 0 < k_lo < k_hi:
             raise InputError("need 0 < k_lo < k_hi")
-        folds = [fd for fd in self.folds(k_hi, resolution=resolution,
-                                         window=window) if fd.level > k_lo]
-        i = next((i for i, fd in enumerate(folds) if fd.birth), None)
-        if i is None:
-            raise NoTransitionError(f"no birth fold of f on the vertex set in "
-                                    f"[{k_lo:.3e}, {k_hi:.3e}]")
+        folds, i = self._transition_fold(k_lo, k_hi, resolution, window)
         levels = [k_lo] + [fd.level for fd in folds] + [k_hi]
         lower, kstar, upper = levels[i:i + 3]
         if any(abs(fd.level / kstar - 1.0) < rel_tol

@@ -28,8 +28,8 @@ from vertexset import (
     two_degenerate_vertex,
     vertex_set_self_intersection,
 )
-from vertexset import bifurcation
-from vertexset.poly import NVarPoly, ParamPoly
+from vertexset import bifurcation, poly
+from vertexset.poly import BivarPoly, NVarPoly, ParamPoly
 
 # frozen against this build; anchors at the default working circle R=0.1
 ANCHORS_DEG = [-146.666, -94.888, -40.713, 28.347, 96.756, 156.545]
@@ -441,7 +441,7 @@ class TestCupSectionSmoke:
 def _per_row_system(polys, path, states):
     """The (x, y, t) system built row by row: substitute tau(t) into every
     polynomial and its parameter derivatives and evaluate pointwise."""
-    dpolys = [[p.diff_param(k) for k in range(p.nparams)] for p in polys]
+    dpolys = [[NVarPoly.diff(p, 2 + k) for k in range(p.nparams)] for p in polys]
     F = np.empty((len(states), 3))
     J = np.empty((len(states), 3, 3))
     for r, (x, y, t) in enumerate(states):
@@ -505,6 +505,72 @@ class TestNewtonXytSystem:
         states = np.column_stack([rng.uniform(-0.03, 0.03, (6, 2)),
                                   rng.uniform(-0.01, 0.01, 6)])
         self._assert_close(polys, line, self._system(monkeypatch, polys, line), states)
+
+
+def _per_row_gate(polys, path, states):
+    """|p| / sum |c_ij| (2 |(x, y)|)^(i+j) at each row, the c_ij the
+    coefficients of p at tau(t), each substituted and evaluated on its own."""
+    rel = np.empty((len(states), len(polys)))
+    for r, (x, y, t) in enumerate(states):
+        for i, p in enumerate(polys):
+            q = p.substitute_params(path(t)[0])
+            bound = sum(abs(float(c)) * (2.0 * math.hypot(x, y)) ** (a + b)
+                        for (a, b), c in q.terms.items())
+            rel[r, i] = abs(q.eval(x, y)) / max(bound, 1e-300)
+    return rel
+
+
+def _node_line(t):
+    return (0.05, t), (0.0, 1.0)
+
+
+class TestNewtonXytGate:
+    """The residual gate of ``_newton_xyt`` at the rows Newton returns."""
+
+    def test_gate_matches_per_row_reference(self, fam, monkeypatch):
+        def converged(system, x0, **kwargs):
+            return x0, np.ones(len(x0), dtype=bool), np.zeros(len(x0), dtype=int)
+
+        monkeypatch.setattr(bifurcation, "newton", converged)
+        vp = build_vertex_function(fam)
+        polys = [vp, vp.diff("x"), vp.diff("y")]
+        rng = np.random.default_rng(5)
+        off = np.column_stack([rng.uniform(-0.03, 0.03, (12, 2)),
+                               rng.uniform(-0.01, 0.01, 12)])
+        states = np.vstack([off, [(*NODE_POINT, NODE_MU)]])
+        _, solved, _, rel = bifurcation._newton_xyt(polys, _node_line, states,
+                                                    max_iter=1, max_step=1.0)
+        ref = _per_row_gate(polys, _node_line, off)
+        assert np.all(np.abs(rel[:-1] - ref) <= 1e-12 * ref)
+        # off the zero set no row passes the gate; the node does
+        assert not solved[:-1].any()
+        assert solved[-1]
+
+    def test_no_rebuild_or_substitution(self, fam, monkeypatch):
+        vp = build_vertex_function(fam)
+        polys = [vp, vp.diff("x"), vp.diff("y")]
+        calls = []
+
+        def spy(cls, name):
+            inner = getattr(cls, name)
+
+            def wrapped(*args, **kwargs):
+                calls.append(name)
+                return inner(*args, **kwargs)
+            monkeypatch.setattr(cls, name, wrapped)
+
+        for cls, name in ((NVarPoly, "diff"), (NVarPoly, "eval_grid"),
+                          (BivarPoly, "eval_grid"), (ParamPoly, "substitute_params"),
+                          (poly, "_partial_stack")):
+            spy(cls, name)
+        seed = [(NODE_POINT[0] + 1e-4, NODE_POINT[1] - 1e-4, NODE_MU * 1.01)]
+        for _ in range(2):
+            _, solved, steps, _ = bifurcation._newton_xyt(polys, _node_line, seed,
+                                                          max_iter=30, max_step=1.0)
+            assert solved[0] and steps[0] > 1
+        # each polynomial's partials are stacked at most once, on first use
+        assert calls.count("_partial_stack") <= len(polys)
+        assert [c for c in calls if c != "_partial_stack"] == []
 
 
 class TestSelfIntersection:

@@ -8,7 +8,8 @@ shape, on surfaces (``BivarPoly``) and on families with one or two
 parameters (``ParamPoly`` at (x, y, tau)), ``eval_lattice`` for axes of
 any lengths, length 1 included, and ``partials``, the x, y derivatives of
 order <= 2 of a surface and of family members fixed by
-``ParamPoly.slices``, at orders 0, 1 and 2.
+``ParamPoly.slices``, at orders 0, 1 and 2, with the parameter derivatives
+of those members at order 1.
 """
 
 import math
@@ -103,7 +104,8 @@ def test_param_eval_grid_matches_exact(p, n, scalar_tau, seed):
 def test_field_partials_match_exact(p, n_taus, n, order, seed):
     # a BivarPoly makes a field of one member; member m of p.slices(taus) is
     # p at taus[m], named by the third coordinate of each row; partials gives
-    # the value, gradient and Hessian, every x, y derivative of order <= 2
+    # the value, gradient and Hessian, every x, y derivative of order <= 2,
+    # and at order 1 the partials in the parameters of a member after them
     rng = np.random.default_rng(seed)
     x, y = rng.uniform(-1.5, 1.5, size=(2, n))
     if isinstance(p, ParamPoly):
@@ -114,20 +116,21 @@ def test_field_partials_match_exact(p, n_taus, n, order, seed):
     else:
         out = PolyField(p).partials(np.column_stack([x, y]), order)
         params = np.zeros((n, 0))
-    assert [a.shape for a in out] == [(n,), (n, 2), (n, 2, 2)][:order + 1]
-    got = {(0, 0): out[0]}
+    columns = p.nvars if order == 1 else 2
+    assert [a.shape for a in out] == [(n,), (n, columns), (n, 2, 2)][:order + 1]
+    # each derivative is named by the variables it differentiates in
+    got = {(): out[0]}
     if order >= 1:
-        got[1, 0], got[0, 1] = out[1].T
+        got.update(((v,), out[1][:, v]) for v in range(columns))
     if order == 2:
-        got[2, 0], got[0, 2] = out[2][:, 0, 0], out[2][:, 1, 1]
+        got[0, 0], got[1, 1] = out[2][:, 0, 0], out[2][:, 1, 1]
         assert np.array_equal(out[2][:, 0, 1], out[2][:, 1, 0])
-        got[1, 1] = out[2][:, 0, 1]
+        got[0, 1] = out[2][:, 0, 1]
     exact_p = NVarPoly(p.nvars, {k: Fraction(c) for k, c in p.terms.items()})
-    for (a, b), d in got.items():
+    for variables, d in got.items():
         q = exact_p
-        for index, times in ((0, a), (1, b)):
-            for _ in range(times):
-                q = q.diff(index)
+        for index in variables:
+            q = q.diff(index)
         for r in range(n):
             point = [Fraction(float(v)) for v in (x[r], y[r], *params[r])]
             scale = sum(abs(c) * math.prod(abs(v) ** e for v, e in zip(point, k))

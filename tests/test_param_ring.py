@@ -67,4 +67,4 @@ def test_ring_operations_commute_with_substitution(p, q, tau, x, y, n):
         assert at(p.diff(var)) == p.substitute_params(tau).diff(var).eval(x, y)
     for k in range(NPARAMS):
         for i, j in {key[:2] for key in p.terms}:
-            assert p.diff_param(k).coeff(i, j) == p.coeff(i, j).diff(k)
+            assert NVarPoly.diff(p, 2 + k).coeff(i, j) == p.coeff(i, j).diff(k)
