@@ -3,10 +3,9 @@
 The deformation parameter tau = (lam, mu) lives in a plane; as tau crosses
 a discriminant consisting of three curves tangent to the lines mu = 0 and
 mu = +-sqrt(3) lam, the pairing of the vertex-set branches changes.  This
-module measures that picture: discriminant angles, bracketed by the sign
-of V at the one saddle of V_tau off the origin, tracked around the
-circle, and solved as nodes of the vertex set, the
-transition-level field k*(tau), fixed-level sections of the
+module measures that picture: discriminant angles (the six nodes of the
+vertex set, continued in |tau| from the nodes of the quintic jet of V),
+the transition-level field k*(tau), fixed-level sections of the
 degenerate-vertex locus (closed curves with six cusps, solved ray by ray
 for k*(r u) = k on the folds of f on the vertex set), the exact reference
 parametrization those sections are compared against, and the
@@ -41,12 +40,10 @@ from .tracer import (
     analyze_vertex_set,
     boundary_crossings,
     classify_pairing,
-    critical_system,
-    distinct_rows,
     newton,
 )
 from .util import wrap_angle
-from .vertexfn import build_vertex_function, kappa_derivative_polys
+from .vertexfn import build_vertex_function, jet_nodes, kappa_derivative_polys
 from .vertices import LevelAnalyzer
 
 WORK_RADIUS = 0.1
@@ -184,77 +181,23 @@ def classify_at(family: SurfaceFamily, tau):
 # -- discriminant angles --------------------------------------------------------
 
 
-def _saddles(members, states, r_param: float) -> tuple:
-    """Newton on grad p = 0 from the rows (x, y, s) of ``states``, p the
-    member s of the family field ``members`` (``ParamPoly.slices``); rows
-    (x, y) of a field of one member name none.
-
-    Returns the final rows, a mask of the rows that converged to a saddle
-    (det Hess p < 0) farther than 1e-2 r_param from the origin, which is a
-    degenerate critical point of every member, and p at the final rows.
-    """
-    pts, converged, _ = newton(critical_system(members), states, tol=1e-9 * r_param,
-                               max_iter=30, max_step=r_param)
-    value, _, h = members.partials(pts, 2)
-    saddle = (converged & (h[:, 0, 0] * h[:, 1, 1] < h[:, 0, 1] ** 2)
-              & (np.hypot(pts[:, 0], pts[:, 1]) > 1e-2 * r_param))
-    return pts, saddle, value
-
-
-def _ring_saddles(vp, taus, thetas_deg: list, r_param: float) -> np.ndarray:
-    """(x, y) of the one saddle off the origin of V at each of ``taus``.
-
-    Newton on grad V = 0 starts, in one batch, from a ring of 12
-    directions at each of the radii r_param/6, r_param/3 and 2 r_param/3
-    around every tau.  A tau whose converged saddles are not exactly one
-    distinct point raises NumericError naming its angle.
-    """
-    phi = np.radians(np.arange(0.0, 360.0, 30.0))
-    ring = np.concatenate([r * np.column_stack([np.cos(phi), np.sin(phi)])
-                           for r in (r_param / 6.0, r_param / 3.0, 2.0 * r_param / 3.0)])
-    members = np.repeat(np.arange(len(taus)), len(ring))
-    pts, saddle, _ = _saddles(vp.slices(taus), np.column_stack(
-        [np.tile(ring, (len(taus), 1)), members]), r_param)
-    out = []
-    for s, th in enumerate(thetas_deg):
-        found = pts[saddle & (members == s), :2]
-        distinct = distinct_rows(found, 1e-6 * r_param)
-        if len(distinct) != 1:
-            raise NumericError(f"{len(distinct)} saddles of the vertex function off the "
-                               f"origin at theta = {th:.3f} deg, expected 1")
-        out.append(found[distinct[0]])
-    return np.array(out)
-
-
-def _interpolated_seed(a, b) -> np.ndarray:
-    """(x, y, t) where V vanishes on the line between the bracket ends
-    a and b, each a row (x, y, t, V at the saddle)."""
-    w = a[3] / (a[3] - b[3])
-    return (1.0 - w) * a[:3] + w * b[:3]
-
-
 def discriminant_angles(family: SurfaceFamily, r_param: float = 0.03, *,
                         coarse_deg: float = 2.0, refine_deg: float = 0.1) -> DiscriminantScan:
     """Angles where the pairing label changes on the circle |tau| = r_param.
 
     The label changes where the vertex set through the umbilic has a node,
-    that is, where the one saddle of V_tau off the origin lies on V = 0.
-    That saddle is found at theta = 0 from a ring of Newton seeds and
-    continued in steps of ``coarse_deg``, on the member V_tau of each step
-    (``ParamPoly.slices``); each change in the sign of V at it
-    (V = 0 counts as positive) brackets a flip.  The flip is solved as a
-    node, (V, V_x, V_y) = 0 over (x, y, theta) with
-    tau = r_param (cos theta, sin theta), seeded by interpolating the
-    bracket's two saddles linearly in V.  A node that does not converge,
-    or lands outside its bracket widened by half a coarse step at each
-    end, raises NumericError naming the bracket; so does a continuation
-    step that fails or leaves the saddle, naming its theta.
+    (V, V_x, V_y) = 0.  Near the umbilic the six nodes leave along the rays
+    of the jet model (``jet_nodes``); each is continued in r, all six in one
+    ``_newton_xyt`` solve over (x, y, theta) with tau = r (cos theta,
+    sin theta) per rung of the ladder r = r_param / 16 * 1.5^j, ended at
+    r_param, each rung seeded by the previous solution scaled by the ratio
+    of radii.  A rung with an unsolved row raises NumericError naming its
+    radius and the Newton step counts; so do two nodes at one angle.
 
-    Halfway between consecutive angles the ring must find the saddle
-    alone again (NumericError otherwise), and ``classify_at`` labels the
-    sector; a non-split sector, or a flip between two sectors of one
-    label, raises UnresolvedTopologyError.  ``samples`` holds every
-    coarse theta with its sector's label, except those within 1e-9 deg of
+    ``classify_at`` labels each sector at its midpoint; a non-split sector,
+    or a node between two sectors of one label, raises
+    UnresolvedTopologyError.  ``samples`` holds every multiple of
+    ``coarse_deg`` with its sector's label, except those within 1e-9 deg of
     an angle, which are skipped as lying on a label change.
     ``refine_deg`` has no effect on the result; it is validated and
     recorded for configs written for the earlier bisection.
@@ -264,53 +207,37 @@ def discriminant_angles(family: SurfaceFamily, r_param: float = 0.03, *,
     if not 0 < refine_deg <= coarse_deg:
         raise InputError("need 0 < refine_deg <= coarse_deg")
 
-    def circle(t):
-        c, s = math.cos(t), math.sin(t)
-        return (r_param * c, r_param * s), (-r_param * s, r_param * c)
+    def circle(r):
+        return lambda t: ((r * math.cos(t), r * math.sin(t)), (-r * math.sin(t), r * math.cos(t)))
 
     vp = build_vertex_function(family)
-    thetas = np.arange(0.0, 360.0, coarse_deg).tolist()
-    xy = _ring_saddles(vp, [circle(0.0)[0]], [0.0], r_param)[0]
-    track = []  # (x, y, t, V) at the saddle, one row per coarse theta
-    for th in thetas:
-        pts, saddle, value = _saddles(vp.slices([circle(math.radians(th))[0]]), [xy],
-                                      r_param)
-        if not saddle[0]:
-            raise NumericError(f"saddle continuation failed at theta = {th:.3f} deg: "
-                               f"no saddle off the origin near the previous one")
-        xy = pts[0, :2]
-        track.append((*xy, math.radians(th), value[0]))
+    polys = [vp, vp.diff("x"), vp.diff("y")]
+    jets = jet_nodes(family)
+    r = r_param / 16.0
+    state = np.column_stack([r * jets.points,
+                             np.arctan2(jets.directions[:, 1], jets.directions[:, 0])])
+    while True:
+        state, solved, steps, _ = _newton_xyt(polys, circle(r), state, max_iter=30,
+                                              max_step=0.5 * r + 0.1)
+        if not solved.all():
+            raise NumericError(f"node continuation failed on the circle |tau| = {r:.6g}: "
+                               f"Newton steps {steps.tolist()}, solved {solved.tolist()}")
+        if r == r_param:
+            break
+        grown = min(1.5 * r, r_param)
+        state[:, :2] *= grown / r
+        r = grown
+    degs = (np.degrees(state[:, 2]) % 360.0).tolist()
+    angles = sorted(0.0 if d == 360.0 else d for d in degs)
+    if np.diff(angles + [angles[0] + 360.0]).min() <= 1e-9:
+        raise NumericError(f"two node continuations end at one angle: {angles} deg")
 
-    # the row of theta = 0 again at 360 deg closes the circle
-    track = np.vstack([track, np.add(track[0], (0.0, 0.0, 2.0 * math.pi, 0.0))])
-    ends = np.flatnonzero((track[:-1, 3] >= 0.0) != (track[1:, 3] >= 0.0)).tolist()
-    bounds = thetas + [360.0]
-    brackets = [(bounds[j], bounds[j + 1]) for j in ends]
-    seeds = [_interpolated_seed(track[j], track[j + 1]) for j in ends]
-    state, solved, steps, _ = _newton_xyt([vp, vp.diff("x"), vp.diff("y")], circle,
-                                          seeds, max_iter=30,
-                                          max_step=0.5 * r_param + 0.1)
-    angles = []
-    for (lo, hi), (_, _, t), ok, k in zip(brackets, state, solved, steps):
-        deg = math.degrees(t)
-        off = (deg - 0.5 * (lo + hi) + 180.0) % 360.0 - 180.0
-        if not ok or abs(off) > 0.5 * (hi - lo + coarse_deg):
-            raise NumericError(
-                f"node solve for the label change in [{lo:.2f}, {hi:.2f}] deg "
-                f"failed after {k} steps at theta = {deg:.3f} deg")
-        deg %= 360.0
-        angles.append(0.0 if deg == 360.0 else deg)
-    angles.sort()
-
-    # sector i runs from angles[i - 1] to angles[i]; with no flip the
-    # circle is one sector
+    # sector i runs from angles[i - 1] to angles[i]
     mids = [0.5 * (angles[i - 1] + angles[i] + 360.0 * (i == 0)) % 360.0
-            for i in range(len(angles))] or [180.0]
-    mid_taus = [circle(math.radians(m))[0] for m in mids]
-    _ring_saddles(vp, mid_taus, mids, r_param)
+            for i in range(len(angles))]
     labels = []
-    for m, tau in zip(mids, mid_taus):
-        lab = classify_at(family, tau)
+    for m in mids:
+        lab = classify_at(family, circle(r_param)(math.radians(m))[0])
         if lab.kind != "split":
             raise UnresolvedTopologyError(
                 f"non-split configuration at the sector midpoint theta = {m:.2f} deg")
@@ -322,7 +249,7 @@ def discriminant_angles(family: SurfaceFamily, r_param: float = 0.03, *,
 
     samples: list = []
     skipped: list = []
-    for th in thetas:
+    for th in np.arange(0.0, 360.0, coarse_deg).tolist():
         if any(abs((th - a + 180.0) % 360.0 - 180.0) <= 1e-9 for a in angles):
             skipped.append((th, "on a label change"))
         else:
@@ -592,12 +519,13 @@ def _newton_xyt(polys: list, path, seeds, *, max_iter: int,
     return state, converged & (rel <= 1e-8).all(axis=1), steps, rel
 
 
-def _solve_on_line(polys: list, tau, free_param: int, seed, max_iter: int,
-                   what: str) -> tuple:
+def _solve_on_line(family: SurfaceFamily, polys: list, tau, free_param: int, seed,
+                   max_iter: int, what: str) -> tuple:
     """``_newton_xyt`` on the line where component ``free_param`` of tau
-    is free, from (x, y) = ``seed``, by default the (0, lam/3) of the public
-    entry points.  Returns x, y, the parameters, the steps and the relative
-    residuals; a row that is not solved raises NumericError naming ``what``.
+    is free, from (x, y) = ``seed``, by default the node of the jet model
+    at tau = (lam, 0), (0, 2 c4 lam / (3 c5)) (``jet_nodes``).  Returns x,
+    y, the parameters, the steps and the relative residuals; a row that is
+    not solved raises NumericError naming ``what``.
     """
     tau = tuple(float(v) for v in tau)
     if not 0 <= free_param < polys[0].nparams:
@@ -605,7 +533,8 @@ def _solve_on_line(polys: list, tau, free_param: int, seed, max_iter: int,
     if seed is None:
         if free_param != 1 or tau[0] == 0.0:
             raise InputError("no default seed for this configuration; pass one")
-        seed = (0.0, tau[0] / 3.0)
+        jets = jet_nodes(family)
+        seed = (0.0, tau[0] / float(3 * jets.c5 / (2 * jets.c4)))
     unit = tuple(float(k == free_param) for k in range(len(tau)))
 
     def line(t):
@@ -640,12 +569,12 @@ def vertex_set_self_intersection(family: SurfaceFamily, tau, *,
     carries the doubly degenerate vertex of the transition.
 
     ``seed`` gives the starting (x, y); by default the node of the leading
-    jet model at (0, lam/3) is used, which covers families normalized so
-    the free parameter is the second one.
+    jet model at tau = (lam, 0), (0, 2 c4 lam / (3 c5)), is used, which
+    covers families normalized so the free parameter is the second one.
     """
     vp = build_vertex_function(family)
-    x, y, params, iterations, _ = _solve_on_line([vp, vp.diff("x"), vp.diff("y")], tau,
-                                                 free_param, seed, max_iter, "node")
+    x, y, params, iterations, _ = _solve_on_line(family, [vp, vp.diff("x"), vp.diff("y")],
+                                                 tau, free_param, seed, max_iter, "node")
     v = vp.substitute_params(params)
     vres = abs(v.eval(x, y))
     gres = math.hypot(v.diff("x").eval(x, y), v.diff("y").eval(x, y))
@@ -673,8 +602,8 @@ def two_degenerate_vertex(family: SurfaceFamily, tau, *, free_param: int = 1,
         f = family.f._with({k: float(c) for k, c in family.f.terms.items()})
         chain = family.cache[key] = kappa_derivative_polys(f, 3)
     polys = [chain[1][0], chain[2][0], chain[3][0]]
-    x, y, params, iterations, residuals = _solve_on_line(polys, tau, free_param, seed,
-                                                         max_iter, "degenerate-vertex")
+    x, y, params, iterations, residuals = _solve_on_line(family, polys, tau, free_param,
+                                                         seed, max_iter, "degenerate-vertex")
     k_si, record = _classify_on_level(family, x, y, params)
     return DegenerateVertexPoint(point=(x, y), tau=tuple(params), level=k_si,
                                  record=record, residuals=tuple(residuals.tolist()),

@@ -19,6 +19,11 @@ class GenericityError(InputError):
     """The cubic part of the surface fails the genericity requirement."""
 
 
+class JetFitError(InputError):
+    """The leading jets of the vertex function do not fit their normal-form
+    models, so the family is not a generic umbilic unfolding."""
+
+
 class ConfigError(VertexSetError):
     """A run configuration could not be parsed or validated."""
 

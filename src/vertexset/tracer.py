@@ -163,20 +163,8 @@ def field_system(field_a: PolyField, field_b: PolyField):
 
 
 def critical_system(field: PolyField):
-    """The system grad F = 0, whose Jacobian is the Hessian of F.
-
-    On the rows (x, y, s) of a family field the member index s rides
-    along, with the equation 0 = 0 and the Jacobian row (0, 0, 1), so one
-    solve takes rows of different members.
-    """
-    def system(p):
-        _, g, h = field.partials(p, 2)
-        if p.shape[1] == 2:
-            return g, h
-        F, J = np.zeros(p.shape), np.zeros((len(p), 3, 3))
-        F[:, :2], J[:, :2, :2], J[:, 2, 2] = g, h, 1.0
-        return F, J
-    return system
+    """The system grad F = 0, whose Jacobian is the Hessian of F."""
+    return lambda p: field.partials(p, 2)[1:]
 
 
 def project_to_zero_set(field: PolyField, pts: np.ndarray, *, tol: float = 1e-14,

@@ -19,9 +19,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import InputError, NearCriticalPointError
+from .errors import InputError, JetFitError, NearCriticalPointError
 from .poly import BivarPoly, ParamPoly, fit_scalar_ratio, max_coeff_diff
-from .surface import SurfaceFamily
+from .surface import SurfaceFamily, deformation_rank, normal_form_rotation
 from .tracer import GRAD_FLOOR
 
 # Calibration of V against the curvature route, frozen from
@@ -245,6 +245,66 @@ def jet_structure_check(s: SurfaceFamily) -> JetStructure:
     return JetStructure(c4=c4, defect4=defect4, c5=c5, defect5=defect5,
                         quartic_at_zero_size=q0_size,
                         degree6_at_zero=v0.homogeneous_part(6))
+
+
+@dataclass(frozen=True)
+class JetNodes:
+    """The six nodes of the jet model of V, one per discriminant ray.
+
+    In normal-form coordinates (plane rotated by ``normal_form_rotation``,
+    parameters tau' = A tau with A the ``deformation_rank`` Jacobian) the
+    part of V of total degree 5 is c4 jet4 + c5 jet5.  At tau' = T, T =
+    (cos 60i deg, sin 60i deg), the model has one node off the origin, at
+    (2 c4 / (3 c5)) (T_mu, T_lam).  Row i of ``directions`` is the unit
+    parameter direction u of that node in the family's own parameters, and
+    row i of ``points`` its point at tau = u in the family's own plane, so
+    the node of V at tau = r u lies near r points[i].
+    """
+    c4: Fraction | float
+    c5: Fraction | float
+    directions: np.ndarray
+    points: np.ndarray
+
+
+def jet_nodes(s: SurfaceFamily) -> JetNodes:
+    """The nodes of the jet model of V of a two-parameter family, cached.
+
+    The jets are fitted after the plane is rotated to the cubic normal
+    form and the parameters are mapped by the deformation Jacobian; a fit
+    whose defect exceeds 1e-10 of max(|c4|, |c5|) raises JetFitError.
+    """
+    if "jet_nodes" in s.cache:
+        return s.cache["jet_nodes"]
+    nf = normal_form_rotation(s)
+    dr = deformation_rank(nf.family)
+    if s.nparams != 2 or dr.rank != 2:
+        raise JetFitError(f"jet nodes need a two-parameter family of deformation rank 2; "
+                          f"this one has {s.nparams} parameters and rank {dr.rank}")
+    v = build_vertex_function(s)
+    jet4 = v.param_degree_part(1).homogeneous_part(4)
+    jet5 = v.at_zero().homogeneous_part(5)
+    if nf.theta:
+        jet4, jet5 = jet4.rotate(nf.theta), jet5.rotate(nf.theta)
+    (a, b), (c, d) = dr.jacobian
+    lam, mu = ParamPoly.parameter(2, 0), ParamPoly.parameter(2, 1)
+    c4, defect4 = fit_scalar_ratio(jet4, vertex_jet4_model().substitute(
+        {2: lam * a + mu * b, 3: lam * c + mu * d}))
+    c5, defect5 = fit_scalar_ratio(jet5, vertex_jet5_model())
+    scale = max(abs(float(c4)), abs(float(c5)))
+    defect = max(defect4, defect5) / max(scale, 1e-300)
+    if not scale or defect > 1e-10:
+        raise JetFitError(f"the jets of V do not fit the normal-form models: relative "
+                          f"defect {defect:.3e} (quartic {defect4:.3e}, quintic "
+                          f"{defect5:.3e}), tolerance 1e-10")
+    phi = np.radians(np.arange(0.0, 360.0, 60.0))
+    T = np.column_stack([np.cos(phi), np.sin(phi)])
+    dirs = np.linalg.solve(np.array(dr.jacobian, dtype=float), T.T).T
+    norm = np.hypot(dirs[:, 0], dirs[:, 1])
+    # the node of the model at tau' = T, scaled to |tau| = 1, in the family's plane
+    z = float(2 * c4 / (3 * c5)) * (T[:, 1] + 1j * T[:, 0]) / norm * np.exp(-1j * nf.theta)
+    out = s.cache["jet_nodes"] = JetNodes(c4=c4, c5=c5, directions=dirs / norm[:, None],
+                                          points=np.column_stack([z.real, z.imag]))
+    return out
 
 
 def hexagonal_symmetry_defect(s: SurfaceFamily, *, theta: float | None = None) -> float:

@@ -190,13 +190,17 @@ class LevelAnalyzer:
 
     def trace_level(self, k: float, *, resolution: int = 384, window: float = 0.6):
         """Trace f = k once, in the disc ``_closing_radius`` picks."""
-        k = float(k)
+        return self._level_trace(float(k), resolution, window)[:2]
+
+    def _level_trace(self, k: float, resolution: int, window: float) -> tuple:
+        """``trace_level`` with the field of f - k it traced."""
         r = self._closing_radius(k, resolution, window)
-        tr = trace_zero_set(PolyField(self.f - k), r, resolution)
+        level = PolyField(self.f - k)
+        tr = trace_zero_set(level, r, resolution)
         if not tr.curves:
             raise DegenerateLevelError(f"no level curve found for k={k} "
                                        f"within radius {r}")
-        return tr, r
+        return tr, r, level
 
     # -- the census -----------------------------------------------------------
 
@@ -210,8 +214,8 @@ class LevelAnalyzer:
         """The census of f = k and the trace it counted on.  A census does
         not keep its trace: callers that hold many censuses would hold
         every traced point with them."""
-        tr, radius = self.trace_level(k, resolution=resolution, window=window)
-        vertices, _, vmax = _roots_along(tr.curves, PolyField(self.f - k), self.field_v)
+        tr, radius, level = self._level_trace(float(k), resolution, window)
+        vertices, _, vmax = _roots_along(tr.curves, level, self.field_v)
         if vmax < 1e-13 * max(self.field_v.bound_on_disc(radius)[0], 1e-300):
             raise DegenerateLevelError(
                 "vertex function vanishes along the whole level curve; "

@@ -2,6 +2,7 @@
 transition-level field, cup sections, and the self-intersection solvers."""
 
 import bisect
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -10,8 +11,10 @@ import pytest
 
 from vertexset import (
     InputError,
+    JetFitError,
     LevelAnalyzer,
     NumericError,
+    SurfaceFamily,
     UnresolvedTopologyError,
     analyze_vertex_set,
     build_vertex_function,
@@ -29,6 +32,7 @@ from vertexset import (
     vertex_set_self_intersection,
 )
 from vertexset import bifurcation, poly
+from vertexset.cli import parse_config
 from vertexset.poly import BivarPoly, NVarPoly, ParamPoly
 
 # frozen against this build; anchors at the default working circle R=0.1
@@ -45,6 +49,12 @@ SCAN_ANGLES_003 = [60.969, 121.438, 180.594, 239.031, 298.469, 359.414]
 ABC_102 = (1, 0, 2)
 ABC_AXIS = (0, Fraction(-1, 2), Fraction(3, 2))
 ABC_QUARTER = (Fraction(3, 4), Fraction(-5, 4), Fraction(1, 2))
+# generic draws with |c - b| < 1, whose nodes lie farther from the origin
+# than 2 r_param / 3; their angles are frozen from the node continuation
+# and checked against the label sweep
+ABC_DRAW1 = (-1, Fraction(-1, 2), Fraction(1, 4))
+ABC_DRAW2 = (Fraction(3, 4), -1, Fraction(-1, 4))
+ABC_DRAW3 = (Fraction(3, 2), Fraction(1, 2), 0)
 SWEEP_ANGLES = {
     (ABC_102, 0.015): [60.46301962084493, 120.74205285635385, 180.29135116541468,
                        239.5294550607059, 299.2353173730005, 359.71820266307986],
@@ -58,7 +68,27 @@ SWEEP_ANGLES = {
                            240.18453196337566, 299.8199090586234, 359.6412850773953],
     (ABC_QUARTER, 0.03): [59.62903390068564, 120.34595765041581, 180.74058761750823,
                           240.36851322835392, 299.63480938834897, 359.2899341731923],
+    (ABC_DRAW1, 0.0159): [1.1434383504251215, 60.34626667193428, 119.15310419631577,
+                          178.802352216982, 239.66571503676977, 300.81360758902576],
+    (ABC_DRAW2, 0.0345): [57.48283139902498, 119.99516610179725, 182.51046201495132,
+                          242.47314911491267, 300.00511685715776, 357.53011303109554],
+    (ABC_DRAW3, 0.0285): [4.864952301267899, 59.48045942637236, 113.35724738753812,
+                          173.764849498392, 240.37965608577514, 305.3345675775013],
 }
+
+# the README's explicit-terms family, cubic x^3 - y^3, which is not in
+# normal form (rotation 15 deg); angles at r_param = 0.03
+README_TERMS = """[family]
+params = lambda, mu
+terms =
+    2 0  1+lambda
+    0 2  1-lambda
+    1 1  2*mu
+    3 0  1
+    0 3  -1
+"""
+README_TERMS_ANGLES = [30.961602310117204, 90.0, 149.0383976898828,
+                       209.09851074023214, 270.0, 330.9014892597679]
 
 # transition levels on the theta = 20 deg ray
 KSTAR_RAY20 = {
@@ -85,7 +115,7 @@ def fam():
 
 @pytest.fixture(scope="module")
 def families():
-    return {abc: make_canonical_family(*abc) for abc in (ABC_102, ABC_AXIS, ABC_QUARTER)}
+    return {abc: make_canonical_family(*abc) for abc, _ in SWEEP_ANGLES}
 
 
 @pytest.fixture(scope="module")
@@ -104,12 +134,6 @@ def _label_sweep(family, r_param, coarse_deg):
         except UnresolvedTopologyError:
             labels[th] = None
     return labels
-
-
-def _fixed_vertex_function(terms):
-    """A stand-in for ``build_vertex_function``: the ParamPoly of ``terms``
-    over (x, y, lam, mu), whatever the family."""
-    return lambda family: ParamPoly(2, terms)
 
 
 def _circ_dist(a, b):
@@ -259,28 +283,52 @@ class TestDiscriminantScan:
         assert len(scan.samples) == 180
         assert len(calls) == 6
 
-    def test_second_saddle_raises(self, fam, monkeypatch):
-        # y^2 - (x^2 - a^2)^2 has saddles at (-a, 0) and (a, 0)
-        a2 = 0.01 ** 2
-        monkeypatch.setattr(bifurcation, "build_vertex_function", _fixed_vertex_function(
-            {(0, 2): 1, (4, 0): -1, (2, 0): 2 * a2, (0, 0): -a2 * a2}))
-        with pytest.raises(NumericError, match=r"2 saddles .* theta = 0\.000 deg"):
-            discriminant_angles(fam, 0.03, coarse_deg=6.0)
+    def test_eight_rungs_from_r_over_16(self, fam, monkeypatch):
+        radii = []
+        real = bifurcation._newton_xyt
 
-    def test_failed_continuation_names_its_theta(self, fam, monkeypatch):
-        # (x - lam/2)^2 - y^2: the one saddle, (lam/2, 0), reaches the
-        # origin at theta = 90 deg
-        monkeypatch.setattr(bifurcation, "build_vertex_function", _fixed_vertex_function(
-            {(2, 0, 0, 0): 1, (1, 0, 1, 0): -1, (0, 0, 2, 0): 0.25, (0, 2, 0, 0): -1}))
-        with pytest.raises(NumericError, match=r"continuation failed at theta = 90\.000 deg"):
-            discriminant_angles(fam, 0.03, coarse_deg=6.0)
+        def spy(polys, path, seeds, **kwargs):
+            radii.append(math.hypot(*path(0.0)[0]))
+            return real(polys, path, seeds, **kwargs)
 
-    def test_failed_node_raises_naming_its_bracket(self, fam, monkeypatch):
-        monkeypatch.setattr(bifurcation, "_interpolated_seed",
-                            lambda a, b: np.array([3.0, -3.0, a[2]]))
+        monkeypatch.setattr(bifurcation, "_newton_xyt", spy)
+        discriminant_angles(fam, 0.03, coarse_deg=6.0)
+        assert radii[:-1] == pytest.approx([0.03 / 16.0 * 1.5 ** j for j in range(7)],
+                                           rel=1e-12)
+        assert radii[-1] == 0.03
+
+    def test_failed_rung_names_its_radius(self, fam, monkeypatch):
+        # seeds far off the node curve: Newton's first step is too long
+        jets = bifurcation.jet_nodes(fam)
+        monkeypatch.setattr(bifurcation, "jet_nodes", lambda family: dataclasses.replace(
+            jets, points=jets.points + 1000.0))
         with pytest.raises(NumericError,
-                           match=r"label change in \[\d+\.\d+, \d+\.\d+\] deg"):
+                           match=r"circle \|tau\| = 0\.001875: Newton steps \[0, 0"):
             discriminant_angles(fam, 0.03, coarse_deg=6.0)
+
+    def test_coinciding_nodes_raise(self, fam, monkeypatch):
+        # two seeds of one node converge to one angle
+        jets = bifurcation.jet_nodes(fam)
+        dup = np.array([0, 0, 2, 3, 4, 5])
+        monkeypatch.setattr(bifurcation, "jet_nodes", lambda family: dataclasses.replace(
+            jets, points=jets.points[dup], directions=jets.directions[dup]))
+        with pytest.raises(NumericError, match=r"two node continuations end at one angle"):
+            discriminant_angles(fam, 0.03, coarse_deg=6.0)
+
+    def test_jets_that_do_not_fit_raise(self):
+        # x^2 + 2 y^2: the origin is no umbilic, so V has no umbilic jets
+        f = make_canonical_family(1, 0, 2).f + ParamPoly(2, {(0, 2): 1})
+        bad = SurfaceFamily(f, param_names=("lambda", "mu"))
+        with pytest.raises(JetFitError, match=r"relative defect \d\.\d+e[+-]\d+"):
+            discriminant_angles(bad, 0.03)
+        # and the line solvers have no default seed there
+        with pytest.raises(InputError):
+            vertex_set_self_intersection(bad, (0.05, 0.0))
+
+    def test_family_off_normal_form(self):
+        fam = parse_config(README_TERMS, "discriminant").family
+        scan = discriminant_angles(fam, 0.03)
+        assert scan.angles == pytest.approx(README_TERMS_ANGLES, abs=1e-9)
 
     def test_bad_args(self, fam):
         with pytest.raises(InputError):
@@ -619,6 +667,27 @@ class TestSelfIntersection:
         rec = la.classify_vertex(td.point, td.level, method="fd")
         assert rec.degeneracy == 2
         assert rec.extremum == "max"
+
+    def test_default_seed_is_lam_over_3_on_102(self, fam):
+        # c - b = 2: the jet node (0, 2 c4 lam / (3 c5)) is (0, lam / 3) bit for bit
+        for solve in (vertex_set_self_intersection, two_degenerate_vertex):
+            got = solve(fam, (0.03, 0.0))
+            want = solve(fam, (0.03, 0.0), seed=(0.0, 0.03 / 3.0))
+            assert (got.point, got.tau, got.iterations) == (want.point, want.tau,
+                                                             want.iterations)
+
+    def test_jet_seed_when_c_minus_b_is_small(self, families):
+        # c - b = 3/4 puts the node at y ~ 2 c4 lam / (3 c5) = 0.0089, where
+        # a seed at lam / 3 fails
+        fam = families[ABC_DRAW2]
+        si = vertex_set_self_intersection(fam, (0.01, 0.0))
+        td = two_degenerate_vertex(fam, (0.01, 0.0))
+        for p in (si.point, td.point):
+            assert p == pytest.approx((0.0, 2 * 192 * 0.01 / (3 * 144)), abs=2e-4)
+        assert si.iterations <= 8 and td.iterations <= 8
+        assert si.vertex_residual < 1e-18 and max(td.residuals) < 1e-12
+        assert abs(si.tau[1] - td.tau[1]) < 1e-8
+        assert td.record.degeneracy == 2
 
     def test_bad_free_param(self, fam):
         with pytest.raises(InputError):

@@ -7,8 +7,11 @@ import pytest
 from vertexset import (
     BivarPoly,
     InputError,
+    JetFitError,
     NearCriticalPointError,
     NVarPoly,
+    ParamPoly,
+    SurfaceFamily,
     build_vertex_function,
     calibrate_vertex_scale,
     curvature,
@@ -20,7 +23,8 @@ from vertexset import (
     oracle_residuals,
     vertex_poly,
 )
-from vertexset.vertexfn import CAL_CONST, GRAD_POWER, vertex_jet4_model, vertex_jet5_model
+from vertexset.vertexfn import (CAL_CONST, GRAD_POWER, jet_nodes, vertex_jet4_model,
+                                vertex_jet5_model)
 
 X = BivarPoly.variable("x")
 Y = BivarPoly.variable("y")
@@ -165,6 +169,38 @@ def test_jet_models_shape():
     m5 = vertex_jet5_model()
     assert m5.coeff(5, 0) == 1
     assert m5.coeff(1, 4) == -3
+
+
+def test_jet_nodes_off_normal_form():
+    # cubic x^3 - y^3 reaches the normal form after a 15 deg rotation, which
+    # also turns the deformation parameters; the nodes leave at 30 + 60k deg
+    lam, mu = NVarPoly.variable(2, 0), NVarPoly.variable(2, 1)
+    one = NVarPoly.constant(2, 1)
+    fam = SurfaceFamily(ParamPoly(2, {(2, 0): one + lam, (0, 2): one - lam,
+                                      (1, 1): mu * 2, (3, 0): one, (0, 3): -one}))
+    jets = jet_nodes(fam)
+    assert jets.c4 == pytest.approx(192.0, rel=1e-12)
+    assert jets.c5 == pytest.approx(-271.52900397563434, rel=1e-12)
+    deg = np.degrees(np.arctan2(jets.directions[:, 1], jets.directions[:, 0])) % 360.0
+    assert sorted(deg) == pytest.approx([30.0, 90.0, 150.0, 210.0, 270.0, 330.0], abs=1e-9)
+    # V and its gradient vanish at r points[i] over tau = r directions[i] to
+    # leading order: they shrink by one power of r more than their scale
+    vp = build_vertex_function(fam)
+    for r in (1e-3, 1e-4):
+        for u, p in zip(jets.directions, r * jets.points):
+            v = vp.substitute_params(tuple(r * u))
+            assert abs(v.eval(*p)) < 1e-2 * r ** 5
+            assert math.hypot(v.diff("x").eval(*p), v.diff("y").eval(*p)) < 1e-1 * r ** 4
+    assert fam.cache["jet_nodes"] is jets
+
+
+def test_jet_nodes_reject_jets_that_do_not_fit():
+    # x^2 + 2 y^2 is no umbilic
+    f = make_canonical_family(1, 0, 2).f + ParamPoly(2, {(0, 2): 1})
+    with pytest.raises(JetFitError, match="relative defect"):
+        jet_nodes(SurfaceFamily(f))
+    with pytest.raises(InputError):
+        jet_nodes(make_fixed_surface(X * X + Y * Y + X ** 3))
 
 
 def test_jet_structure_requires_two_parameters():

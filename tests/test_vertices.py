@@ -75,7 +75,7 @@ class TestCensus:
             ellipse.census(1.0, window=0.6)
 
     @pytest.mark.xfail(strict=True, reason=(
-        "ROADMAP item 1: the two vertices born just above k* fall inside one "
+        "ROADMAP item 4: the two vertices born just above k* fall inside one "
         "polyline segment, so the grid census sees no sign change of V"))
     def test_six_vertices_just_above_kstar(self, deformed):
         assert deformed.census(KSTAR_05_02 * (1 + 1e-5),
